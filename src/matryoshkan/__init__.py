@@ -57,12 +57,6 @@ from .processes import (
     ShotNoiseSpec,
     UniformJumps,
     build,
-    build_ephemeral,
-    build_generic,
-    build_growth_collapse,
-    build_hawkes,
-    build_ito,
-    build_shot_noise,
     ito_gamma_bounds,
     pascal_lower,
     pascal_matryoshkan,

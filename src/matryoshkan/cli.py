@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, engine, euler, mc, processes
@@ -125,6 +126,8 @@ def _parse_params(text: str) -> dict[str, float]:
             out[key] = float(raw)
         except ValueError:
             raise _CLIError(f"--params: value for '{key}' is not a number: '{raw}'")
+        if not math.isfinite(out[key]):
+            raise _CLIError(f"--params: value for '{key}' must be finite, got '{raw}'")
     return out
 
 
@@ -207,7 +210,7 @@ def _make_spec(args) -> processes.ProcessSpec:
                 baseline=params["nu-star"],
                 jump=params["alpha"],
                 expiry=params["mu"],
-                x0=int(params.get("x0", 0)),
+                x0=params.get("x0", 0),
             )
         coeffs = tuple(params.get(f"a{i}", 0.0) for i in range(10))
         return processes.GenericGeneratorSpec(
@@ -255,9 +258,8 @@ def _dispatch(args) -> str:
         doc = {"metadata": _metadata(args, {"time": args.time}), "payload": payload}
         if args.format == "csv":
             return _csv(["order", "value"], [[p["order"], p["value"]] for p in payload])
-        return _json_document(doc)
 
-    if args.command == "steady":
+    elif args.command == "steady":
         system, _ = processes.build(spec, args.order)
         result = engine.steady_vector(system)
         payload = [
@@ -266,9 +268,8 @@ def _dispatch(args) -> str:
         doc = {"metadata": _metadata(args, {"time": "stationary"}), "payload": payload}
         if args.format == "csv":
             return _csv(["order", "value"], [[p["order"], p["value"]] for p in payload])
-        return _json_document(doc)
 
-    if args.command == "bench":
+    elif args.command == "bench":
         deltas = _parse_deltas(args.deltas)
         if args.trials < 1:
             raise _CLIError(f"--trials must be >= 1, got {args.trials}")
@@ -301,36 +302,36 @@ def _dispatch(args) -> str:
             )
         if args.format == "table":
             return _table(records)
-        return _json_document(doc)
 
-    # simulate
-    if args.paths < 1:
-        raise _CLIError(f"--paths must be >= 1, got {args.paths}")
-    cfg = mc.SimConfig(
-        paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
-    )
-    terminals = mc.simulate(spec, cfg)
-    estimates = mc.estimate_moments(terminals, args.order)
-    payload = [
-        {"order": e.order, "estimate": e.mean, "std_error": e.std_error}
-        for e in estimates
-    ]
-    meta = _metadata(
-        args,
-        {
-            "time": args.time,
-            "paths": args.paths,
-            "seed": args.seed,
-            "sim_step": args.sim_step,
-        },
-    )
-    doc = {"metadata": meta, "payload": payload}
-    if args.format == "csv":
-        return _csv(
-            ["order", "estimate", "std_error"],
-            [[p["order"], p["estimate"], p["std_error"]] for p in payload],
+    else:  # simulate
+        if args.paths < 1:
+            raise _CLIError(f"--paths must be >= 1, got {args.paths}")
+        cfg = mc.SimConfig(
+            paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
         )
-    return _json_document(doc)
+        terminals = mc.simulate(spec, cfg)
+        estimates = mc.estimate_moments(terminals, args.order)
+        payload = [
+            {"order": e.order, "estimate": e.mean, "std_error": e.std_error}
+            for e in estimates
+        ]
+        meta = _metadata(
+            args,
+            {
+                "time": args.time,
+                "paths": args.paths,
+                "seed": args.seed,
+                "sim_step": args.sim_step,
+            },
+        )
+        doc = {"metadata": meta, "payload": payload}
+        if args.format == "csv":
+            return _csv(
+                ["order", "estimate", "std_error"],
+                [[p["order"], p["estimate"], p["std_error"]] for p in payload],
+            )
+
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _parse_deltas(text: str) -> list[float]:
@@ -352,29 +353,6 @@ def _num(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _json_document(doc: dict) -> str:
-    return _json_value(doc) + "\n"
 
 
 def _csv(header: list[str], rows: list[list]) -> str:

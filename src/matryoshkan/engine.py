@@ -240,30 +240,17 @@ def steady_vector(system: CoefficientSystem) -> MomentVector:
 
 
 def steady_nth(system: CoefficientSystem, n: int) -> float:
-    """The n-th stationary moment from the trailing row and the leading block."""
+    """The n-th stationary moment, from the leading order-n system alone."""
     _require_stable(system)
     if not 1 <= n <= system.order:
         raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
-    d = system.theta.diagonal()
-    if n == 1:
-        return -system.theta0[0] / d[0]
-    block = system.theta.leading(n - 1)
-    row = system.theta.sub_row(n - 1)
-    y = core.solve_lower(block, system.theta0[: n - 1])
-    return (float(np.dot(row, y)) - system.theta0[n - 1]) / d[n - 1]
+    return steady_vector(system.leading(n)).values[-1]
 
 
 def steady_recursive(system: CoefficientSystem) -> MomentVector:
-    """Stationary moments built bottom-up, one order at a time."""
-    _require_stable(system)
-    d = system.theta.diagonal()
-    n = system.order
-    values = np.empty(n)
-    values[0] = -system.theta0[0] / d[0]
-    for k in range(1, n):
-        row = system.theta.sub_row(k)
-        values[k] = -(float(np.dot(row, values[:k])) + system.theta0[k]) / d[k]
-    return MomentVector(STATIONARY, values)
+    """Stationary moments built bottom-up, one order at a time; forward
+    substitution is exactly that recursion."""
+    return steady_vector(system)
 
 
 @dataclass(frozen=True)
@@ -297,20 +284,12 @@ def validate(system: CoefficientSystem) -> ValidationReport:
     stationary = not zero and not positive
     overflow_order = None
     if stationary:
-        # Guarded bottom-up recursion; the first magnitude past 1e300 wins.
-        values = np.zeros(system.order)
-        values[0] = -system.theta0[0] / d[0]
-        if abs(values[0]) > _OVERFLOW_LIMIT:
-            overflow_order = 1
-        else:
-            for k in range(1, system.order):
-                row = theta.sub_row(k)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    est = -(float(np.dot(row, values[:k])) + system.theta0[k]) / d[k]
-                if not math.isfinite(est) or abs(est) > _OVERFLOW_LIMIT:
-                    overflow_order = k + 1
-                    break
-                values[k] = est
+        # The stationary substitution; the first magnitude past 1e300, or NaN, wins.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = core.solve_lower(theta, -system.theta0)
+        bad = np.flatnonzero(~(np.abs(values) <= _OVERFLOW_LIMIT))
+        if bad.size:
+            overflow_order = int(bad[0]) + 1
 
     lines = [f"order: {system.order}", "triangular: yes"]
     if stationary:

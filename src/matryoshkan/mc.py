@@ -49,10 +49,10 @@ class SimConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise InvalidInput(f"paths must be >= 1, got {self.paths}")
-        if self.horizon < 0:
-            raise InvalidInput(f"horizon must be >= 0, got {self.horizon}")
-        if self.sim_step <= 0:
-            raise InvalidInput(f"sim_step must be > 0, got {self.sim_step}")
+        if not 0 <= self.horizon < math.inf:
+            raise InvalidInput(f"horizon must be finite and >= 0, got {self.horizon}")
+        if not 0 < self.sim_step < math.inf:
+            raise InvalidInput(f"sim_step must be finite and > 0, got {self.sim_step}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Coefficient-system builders for the supported process families.
+"""Parameter records of the supported process families and their one builder.
 
-Each builder turns an interpretable parameter record into the matrix/shift
-pair of the moment ODE system plus the initial moment powers.  The generic
-builder applies an infinitesimal generator with affine jump rates, affine
-drift, quadratic diffusion coefficient and multiplicative collapse to x^k,
-expanding jump terms by the binomial theorem; the specialized builders write
-the same rows directly from their known closed forms.
+Every record maps itself, through ``generator()``, to a generic generator
+with affine jump rates, affine drift, quadratic diffusion coefficient and
+multiplicative collapse.  ``build`` applies that generator to x^k, expanding
+jump terms by the binomial theorem, and returns the matrix/shift pair of the
+moment ODE system plus the initial moment powers.  A new family is one more
+``generator()`` map.
 """
 
 from __future__ import annotations
@@ -42,12 +42,6 @@ __all__ = [
     "UniformJumps",
     "binomial_row",
     "build",
-    "build_ephemeral",
-    "build_generic",
-    "build_growth_collapse",
-    "build_hawkes",
-    "build_ito",
-    "build_shot_noise",
     "ito_gamma_bounds",
     "pascal_lower",
     "pascal_matryoshkan",
@@ -265,6 +259,14 @@ class HawkesSpec:
             raise InvalidInput(f"initial intensity must be > 0, got {x0}")
         object.__setattr__(self, "x0", x0)
 
+    def generator(self) -> GenericGeneratorSpec:
+        blam = self.beta * self.lambda_star
+        return GenericGeneratorSpec(
+            coeffs=(0.0, 1.0, 0.0, 0.0, blam, -self.beta, 0.0, 0.0, 0.0, 0.0),
+            up=DeterministicJumps(self.alpha),
+            x0=self.x0,
+        )
+
 
 @dataclass(frozen=True)
 class ShotNoiseSpec:
@@ -283,13 +285,20 @@ class ShotNoiseSpec:
         if self.x0 < 0:
             raise InvalidInput(f"initial value must be >= 0, got {self.x0}")
 
+    def generator(self) -> GenericGeneratorSpec:
+        return GenericGeneratorSpec(
+            coeffs=(self.rate, 0.0, 0.0, 0.0, 0.0, -self.decay, 0.0, 0.0, 0.0, 0.0),
+            up=self.jumps,
+            x0=self.x0,
+        )
+
 
 @dataclass(frozen=True)
 class ItoSpec:
     """Diffusion with drift mu + theta*x and volatility sigma * x^(gamma/2).
 
     gamma in {0, 1, 2} admits an exact moment system; fractional gamma in
-    [0, 2] is handled by the bracketing builder only.
+    [0, 2] is handled by ito_gamma_bounds only.
     """
 
     mu: float
@@ -303,6 +312,20 @@ class ItoSpec:
             raise UnsupportedGamma(
                 f"gamma must lie in [0, 2], got {self.gamma}"
             )
+
+    def generator(self) -> GenericGeneratorSpec:
+        """The diffusion term (sigma^2/2) x^gamma takes coefficient a(6+gamma)."""
+        if self.gamma not in (0.0, 1.0, 2.0):
+            raise UnsupportedGamma(
+                f"exact systems need gamma in {{0, 1, 2}}, got {self.gamma};"
+                " use ito_gamma_bounds for fractional gamma"
+            )
+        diffusion = [0.0, 0.0, 0.0]
+        diffusion[int(self.gamma)] = self.sigma**2 / 2
+        return GenericGeneratorSpec(
+            coeffs=(0.0, 0.0, 0.0, 0.0, self.mu, self.theta, *diffusion, 0.0),
+            x0=self.x0,
+        )
 
 
 @dataclass(frozen=True)
@@ -327,6 +350,13 @@ class GrowthCollapseSpec:
             )
         if self.x0 < 0:
             raise InvalidInput(f"initial value must be >= 0, got {self.x0}")
+
+    def generator(self) -> GenericGeneratorSpec:
+        return GenericGeneratorSpec(
+            coeffs=(0.0, 0.0, 0.0, 0.0, self.growth, 0.0, 0.0, 0.0, 0.0, self.collapse_rate),
+            collapse=self.collapse,
+            x0=self.x0,
+        )
 
 
 @dataclass(frozen=True)
@@ -354,6 +384,16 @@ class EphemeralSpec:
             )
         object.__setattr__(self, "x0", int(self.x0))
 
+    def generator(self) -> GenericGeneratorSpec:
+        """Arrivals step up by one at rate baseline + jump x; expiries step
+        down by one at rate expiry x."""
+        return GenericGeneratorSpec(
+            coeffs=(self.baseline, self.jump, 0.0, self.expiry, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            up=DeterministicJumps(1.0),
+            down=DeterministicJumps(1.0),
+            x0=float(self.x0),
+        )
+
 
 @dataclass(frozen=True)
 class GenericGeneratorSpec:
@@ -372,6 +412,9 @@ class GenericGeneratorSpec:
         if len(c) != 10:
             raise InvalidInput(f"expected 10 generator coefficients, got {len(c)}")
         object.__setattr__(self, "coeffs", c)
+
+    def generator(self) -> GenericGeneratorSpec:
+        return self
 
 
 ProcessSpec = (
@@ -418,182 +461,20 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
     return MatryoshkanMatrix(k, np.concatenate(packed))
 
 
-# -- builders ----------------------------------------------------------------
+# -- the builder --------------------------------------------------------------
 
 
-def _pack(rows: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(rows)
-
-
-def build_hawkes(
-    spec: HawkesSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Moment system of the self-exciting intensity.
-
-    Row k: binomial jump entries C(k, j-1) alpha^(k-j+1), a band k*beta*lambda_star
-    at column k-1, and diagonal k*alpha - k*beta = -k(beta - alpha).  Shift
-    vector (beta*lambda_star, 0, ..., 0).
-    """
-    _check_order(n)
-    blam = spec.beta * spec.lambda_star
-    rows = []
-    for k in range(1, n + 1):
-        kf = float(k)
-        b = binomial_row(k)
-        row = b[:k] * np.power(spec.alpha, np.arange(k, 0, -1, dtype=np.float64))
-        if k >= 2:
-            row[k - 2] += blam * kf
-        row[k - 1] = row[k - 1] - spec.beta * kf
-        rows.append(row)
-    theta0 = np.zeros(n)
-    theta0[0] = blam
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
-    return system, InitialMomentVector.from_state(spec.x0, n)
-
-
-def build_shot_noise(
-    spec: ShotNoiseSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Moment system of the shot noise intensity.
-
-    Row k: entries C(k, i) rate E[J^(k-i)] for i < k, diagonal -k*decay.
-    The shift vector is dense: component k is rate * E[J^k].
-    """
-    _check_order(n)
-    jm = spec.jumps.moments_from_zero(n)
-    rows = []
-    theta0 = np.empty(n)
-    for k in range(1, n + 1):
-        b = binomial_row(k)
-        coef = spec.rate * b[:k] * jm[k:0:-1]
-        theta0[k - 1] = coef[0]
-        row = np.empty(k)
-        row[: k - 1] = coef[1:]
-        row[k - 1] = -spec.decay * float(k)
-        rows.append(row)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
-    return system, InitialMomentVector.from_state(spec.x0, n)
-
-
-def build_ito(
-    spec: ItoSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Moment system of the affine-drift diffusion for integer gamma.
-
-    Diagonal k*theta, plus k(k-1) sigma^2/2 on the diagonal when gamma = 2;
-    the diffusion band sits gamma - 2 places below the diagonal otherwise.
-    Shift vector (mu, sigma^2 [gamma = 0], 0, ..., 0).
-    """
-    _check_order(n)
-    if spec.gamma not in (0.0, 1.0, 2.0):
-        raise UnsupportedGamma(
-            f"exact systems need gamma in {{0, 1, 2}}, got {spec.gamma};"
-            " use the bracketing builder for fractional gamma"
-        )
-    g = int(spec.gamma)
-    half = spec.sigma**2 / 2
-    rows = []
-    theta0 = np.zeros(n)
-    theta0[0] = spec.mu
-    if g == 0 and n >= 2:
-        theta0[1] = half * 2.0
-    for k in range(1, n + 1):
-        kf = float(k)
-        row = np.zeros(k)
-        diag = spec.theta * kf
-        if k >= 2:
-            kk1 = float(k * (k - 1))
-            row[k - 2] += spec.mu * kf
-            if g == 1:
-                row[k - 2] += half * kk1
-            elif g == 0 and k >= 3:
-                row[k - 3] += half * kk1
-            elif g == 2:
-                diag = diag + half * kk1
-        row[k - 1] = diag
-        rows.append(row)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
-    return system, InitialMomentVector.from_state(spec.x0, n)
-
-
-def ito_gamma_bounds(
-    spec: ItoSpec, n: int
-) -> tuple[CoefficientSystem, CoefficientSystem]:
-    """Exact systems with gamma replaced by floor(gamma) and ceil(gamma).
-
-    Solving both brackets the true moment of a fractional-gamma diffusion,
-    provided power monotonicity holds along paths (state >= 1); the bound
-    ordering reverses on states below 1.
-    """
-    _check_order(n)
-    lo = replace(spec, gamma=float(math.floor(spec.gamma)))
-    hi = replace(spec, gamma=float(math.ceil(spec.gamma)))
-    lower, _ = build_ito(lo, n)
-    upper, _ = build_ito(hi, n)
-    return lower, upper
-
-
-def build_growth_collapse(
-    spec: GrowthCollapseSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Moment system of the growth-collapse process.
-
-    Row k: band k*growth at column k-1 and diagonal
-    collapse_rate * (E[C^k] - 1), which is -k*mu/(k+1) for uniform collapse.
-    Shift vector (growth, 0, ..., 0).
-    """
-    _check_order(n)
-    cm = spec.collapse.moments(n)
-    rows = []
-    for k in range(1, n + 1):
-        row = np.zeros(k)
-        if k >= 2:
-            row[k - 2] = spec.growth * float(k)
-        row[k - 1] = spec.collapse_rate * (cm[k - 1] - 1.0)
-        rows.append(row)
-    theta0 = np.zeros(n)
-    theta0[0] = spec.growth
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
-    return system, InitialMomentVector.from_state(spec.x0, n)
-
-
-def build_ephemeral(
-    spec: EphemeralSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Moment system of the ephemerally self-exciting count.
-
-    Row k, column i: C(k,i) baseline + C(k,i-1) jump +/- C(k,i-1) expiry,
-    the sign alternating with k - i; diagonal -k(expiry - jump).  Shift
-    vector is baseline in every component.
-    """
-    _check_order(n)
-    rows = []
-    for k in range(1, n + 1):
-        kf = float(k)
-        b = binomial_row(k)
-        row = np.empty(k)
-        for i in range(1, k):
-            val = spec.baseline * b[i] + spec.jump * b[i - 1]
-            down = spec.expiry * b[i - 1]
-            # expiry contributes with sign (-1)^(k-i+1)
-            row[i - 1] = val + down if (k - i) % 2 == 1 else val - down
-        row[k - 1] = spec.jump * kf - spec.expiry * kf
-        rows.append(row)
-    theta0 = np.full(n, spec.baseline)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
-    return system, InitialMomentVector.from_state(float(spec.x0), n)
-
-
-def build_generic(
-    spec: GenericGeneratorSpec, n: int
-) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Apply the generic generator to x^k for k = 1..n.
+def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Apply the spec's generic generator to x^k for k = 1..n.
 
     Jump terms expand by the binomial theorem; drift and diffusion act on
     the first and second derivative of x^k; collapse scales x^k by
     E[C^k] - 1.  Closure is automatic: nothing produces a power above k.
     """
+    if not isinstance(spec, ProcessSpec):
+        raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
     _check_order(n)
+    spec = spec.generator()
     a = spec.coeffs
     need_up = a[0] != 0.0 or a[1] != 0.0
     need_down = a[2] != 0.0 or a[3] != 0.0
@@ -613,7 +494,8 @@ def build_generic(
     for k in range(1, n + 1):
         kf = float(k)
         coef = np.zeros(k + 1)
-        b = binomial_row(k)[:k]
+        if need_up or need_down:
+            b = binomial_row(k)[:k]
         if need_up:
             up = ea[k:0:-1]
             if a[0] != 0.0:
@@ -643,25 +525,24 @@ def build_generic(
             coef[k] += a[9] * (ec[k - 1] - 1.0)
         theta0[k - 1] = coef[0]
         rows.append(coef[1:])
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(MatryoshkanMatrix(n, np.concatenate(rows)), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
-def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
-    """Dispatch to the family-specific builder."""
-    if isinstance(spec, HawkesSpec):
-        return build_hawkes(spec, n)
-    if isinstance(spec, ShotNoiseSpec):
-        return build_shot_noise(spec, n)
-    if isinstance(spec, ItoSpec):
-        return build_ito(spec, n)
-    if isinstance(spec, GrowthCollapseSpec):
-        return build_growth_collapse(spec, n)
-    if isinstance(spec, EphemeralSpec):
-        return build_ephemeral(spec, n)
-    if isinstance(spec, GenericGeneratorSpec):
-        return build_generic(spec, n)
-    raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
+def ito_gamma_bounds(
+    spec: ItoSpec, n: int
+) -> tuple[CoefficientSystem, CoefficientSystem]:
+    """Exact systems with gamma replaced by floor(gamma) and ceil(gamma).
+
+    Solving both brackets the true moment of a fractional-gamma diffusion,
+    provided power monotonicity holds along paths (state >= 1); the bound
+    ordering reverses on states below 1.
+    """
+    lo = replace(spec, gamma=float(math.floor(spec.gamma)))
+    hi = replace(spec, gamma=float(math.ceil(spec.gamma)))
+    lower, _ = build(lo, n)
+    upper, _ = build(hi, n)
+    return lower, upper
 
 
 def _check_order(n: int) -> None:

@@ -1,0 +1,181 @@
+"""Hand-written moment-system rows of the five named process families.
+
+These are the closed-form rows each family's generator gives, written out
+directly instead of through the generic generator.  The library builds every
+family through `matryoshkan.build`; the tests compare its output against
+these functions, so the equivalence check is not a tautology.  This module
+holds no tests.
+"""
+
+import numpy as np
+
+from matryoshkan.core import MatryoshkanMatrix
+from matryoshkan.engine import CoefficientSystem, InitialMomentVector
+from matryoshkan.errors import InvalidInput, UnsupportedGamma
+from matryoshkan.processes import binomial_row
+
+
+def _pack(rows: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(rows)
+
+
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise InvalidInput(f"order must be >= 1, got {n}")
+
+
+def build_hawkes(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Moment system of the self-exciting intensity.
+
+    Row k: binomial jump entries C(k, j-1) alpha^(k-j+1), a band k*beta*lambda_star
+    at column k-1, and diagonal k*alpha - k*beta = -k(beta - alpha).  Shift
+    vector (beta*lambda_star, 0, ..., 0).
+    """
+    _check_order(n)
+    blam = spec.beta * spec.lambda_star
+    rows = []
+    for k in range(1, n + 1):
+        kf = float(k)
+        b = binomial_row(k)
+        row = b[:k] * np.power(spec.alpha, np.arange(k, 0, -1, dtype=np.float64))
+        if k >= 2:
+            row[k - 2] += blam * kf
+        row[k - 1] = row[k - 1] - spec.beta * kf
+        rows.append(row)
+    theta0 = np.zeros(n)
+    theta0[0] = blam
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(spec.x0, n)
+
+
+def build_shot_noise(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Moment system of the shot noise intensity.
+
+    Row k: entries C(k, i) rate E[J^(k-i)] for i < k, diagonal -k*decay.
+    The shift vector is dense: component k is rate * E[J^k].
+    """
+    _check_order(n)
+    jm = spec.jumps.moments_from_zero(n)
+    rows = []
+    theta0 = np.empty(n)
+    for k in range(1, n + 1):
+        b = binomial_row(k)
+        coef = spec.rate * b[:k] * jm[k:0:-1]
+        theta0[k - 1] = coef[0]
+        row = np.empty(k)
+        row[: k - 1] = coef[1:]
+        row[k - 1] = -spec.decay * float(k)
+        rows.append(row)
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(spec.x0, n)
+
+
+def build_ito(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Moment system of the affine-drift diffusion for integer gamma.
+
+    Diagonal k*theta, plus k(k-1) sigma^2/2 on the diagonal when gamma = 2;
+    the diffusion band sits gamma - 2 places below the diagonal otherwise.
+    Shift vector (mu, sigma^2 [gamma = 0], 0, ..., 0).
+    """
+    _check_order(n)
+    if spec.gamma not in (0.0, 1.0, 2.0):
+        raise UnsupportedGamma(
+            f"exact systems need gamma in {{0, 1, 2}}, got {spec.gamma};"
+            " use the bracketing builder for fractional gamma"
+        )
+    g = int(spec.gamma)
+    half = spec.sigma**2 / 2
+    rows = []
+    theta0 = np.zeros(n)
+    theta0[0] = spec.mu
+    if g == 0 and n >= 2:
+        theta0[1] = half * 2.0
+    for k in range(1, n + 1):
+        kf = float(k)
+        row = np.zeros(k)
+        diag = spec.theta * kf
+        if k >= 2:
+            kk1 = float(k * (k - 1))
+            row[k - 2] += spec.mu * kf
+            if g == 1:
+                row[k - 2] += half * kk1
+            elif g == 0 and k >= 3:
+                row[k - 3] += half * kk1
+            elif g == 2:
+                diag = diag + half * kk1
+        row[k - 1] = diag
+        rows.append(row)
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(spec.x0, n)
+
+
+def build_growth_collapse(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Moment system of the growth-collapse process.
+
+    Row k: band k*growth at column k-1 and diagonal
+    collapse_rate * (E[C^k] - 1), which is -k*mu/(k+1) for uniform collapse.
+    Shift vector (growth, 0, ..., 0).
+    """
+    _check_order(n)
+    cm = spec.collapse.moments(n)
+    rows = []
+    for k in range(1, n + 1):
+        row = np.zeros(k)
+        if k >= 2:
+            row[k - 2] = spec.growth * float(k)
+        row[k - 1] = spec.collapse_rate * (cm[k - 1] - 1.0)
+        rows.append(row)
+    theta0 = np.zeros(n)
+    theta0[0] = spec.growth
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(spec.x0, n)
+
+
+def build_ephemeral(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """Moment system of the ephemerally self-exciting count.
+
+    Row k, column i: C(k,i) baseline + C(k,i-1) jump +/- C(k,i-1) expiry,
+    the sign alternating with k - i; diagonal -k(expiry - jump).  Shift
+    vector is baseline in every component.
+    """
+    _check_order(n)
+    rows = []
+    for k in range(1, n + 1):
+        kf = float(k)
+        b = binomial_row(k)
+        row = np.empty(k)
+        for i in range(1, k):
+            val = spec.baseline * b[i] + spec.jump * b[i - 1]
+            down = spec.expiry * b[i - 1]
+            # expiry contributes with sign (-1)^(k-i+1)
+            row[i - 1] = val + down if (k - i) % 2 == 1 else val - down
+        row[k - 1] = spec.jump * kf - spec.expiry * kf
+        rows.append(row)
+    theta0 = np.full(n, spec.baseline)
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(float(spec.x0), n)
+
+
+BUILDERS = {
+    "HawkesSpec": build_hawkes,
+    "ShotNoiseSpec": build_shot_noise,
+    "ItoSpec": build_ito,
+    "GrowthCollapseSpec": build_growth_collapse,
+    "EphemeralSpec": build_ephemeral,
+}
+
+
+def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """The hand-written system of spec's family."""
+    return BUILDERS[type(spec).__name__](spec, n)
+
+
+def systems_equal(left, right) -> bool:
+    """Exact equality of matrix, shift vector and initial powers."""
+    ls, li = left
+    rs, ri = right
+    return (
+        np.array_equal(ls.theta.packed, rs.theta.packed)
+        and np.array_equal(ls.theta0, rs.theta0)
+        and np.array_equal(li.powers, ri.powers)
+    )

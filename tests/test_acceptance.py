@@ -21,14 +21,7 @@ import matryoshkan as mk
 from matryoshkan.errors import BinomialPrecisionWarning, EstimatePrecisionWarning
 
 from conftest import random_matryoshkan, taylor_exp
-from test_processes import (
-    embed_ephemeral,
-    embed_growth_collapse,
-    embed_hawkes,
-    embed_ito,
-    embed_shot_noise,
-    systems_ulp_equal,
-)
+from reference_builders import reference_build, systems_equal
 
 DECADES = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -51,7 +44,7 @@ def _euler_rel_errors(system, init, t, component=None):
 
 def test_criterion_1_hawkes_benchmark():
     t0 = time.perf_counter()
-    system, init = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 2.0), 4)
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 4)
     rels = _euler_rel_errors(system, init, 10.0, component=4)
     in_band = 1e-6 <= rels[0] <= 2e-5
     factors = [rels[i] / rels[i + 1] for i in range(3)]
@@ -72,17 +65,17 @@ def test_criterion_2_decade_scaling_other_fixtures():
     t0 = time.perf_counter()
     fixtures = {
         "shotnoise": (
-            mk.build_shot_noise(
+            mk.build(
                 mk.ShotNoiseSpec(1.0, 4.0, mk.LogNormalJumps(0.0, 1.0)), 10
             ),
             5.0,
         ),
-        "cir": (mk.build_ito(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 10), 5.0),
+        "cir": (mk.build(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 10), 5.0),
         "growthcollapse": (
-            mk.build_growth_collapse(mk.GrowthCollapseSpec(1.0, 0.5), 10),
+            mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 10),
             8.0,
         ),
-        "ephemeral": (mk.build_ephemeral(mk.EphemeralSpec(1.0, 2.0, 3.0), 10), 5.0),
+        "ephemeral": (mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), 10), 5.0),
     }
     details = []
     passed = True
@@ -103,7 +96,7 @@ def test_criterion_3_performance_ordering():
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        system, init = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 2.0), 100)
+        system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 100)
     closed_times = []
     for _ in range(3):
         c0 = time.perf_counter()
@@ -129,7 +122,7 @@ def test_criterion_3_performance_ordering():
 def test_criterion_4_growth_collapse_stationary_constant():
     t0 = time.perf_counter()
     growth, rate = 1.0, 0.5
-    system, init = mk.build_growth_collapse(mk.GrowthCollapseSpec(growth, rate), 10)
+    system, init = mk.build(mk.GrowthCollapseSpec(growth, rate), 10)
     steady = mk.steady_vector(system).values
     transient = mk.transient_vector(system, init, 200.0).values
     stated = np.array(
@@ -160,12 +153,12 @@ def test_criterion_4_growth_collapse_stationary_constant():
 
 def test_criterion_5_stationary_means():
     t0 = time.perf_counter()
-    hawkes, _ = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 2.0), 1)
-    shot, _ = mk.build_shot_noise(
+    hawkes, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 1)
+    shot, _ = mk.build(
         mk.ShotNoiseSpec(1.0, 4.0, mk.LogNormalJumps(0.0, 1.0)), 1
     )
-    ephemeral, _ = mk.build_ephemeral(mk.EphemeralSpec(1.0, 2.0, 3.0), 1)
-    ou, _ = mk.build_ito(mk.ItoSpec(mu=1.0, theta=-2.0, sigma=1.0, gamma=0.0), 1)
+    ephemeral, _ = mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), 1)
+    ou, _ = mk.build(mk.ItoSpec(mu=1.0, theta=-2.0, sigma=1.0, gamma=0.0), 1)
     checks = {
         "hawkes": (mk.steady_nth(hawkes, 1), 2.0),
         "shotnoise": (mk.steady_nth(shot, 1), math.exp(0.5) / 4.0),
@@ -183,13 +176,13 @@ def test_criterion_5_stationary_means():
 def test_criterion_6_ode_residuals():
     t0 = time.perf_counter()
     fixtures = {
-        "hawkes": mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 2.0), 10),
-        "shotnoise": mk.build_shot_noise(
+        "hawkes": mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 10),
+        "shotnoise": mk.build(
             mk.ShotNoiseSpec(1.0, 4.0, mk.LogNormalJumps(0.0, 1.0)), 10
         ),
-        "cir": mk.build_ito(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 10),
-        "growthcollapse": mk.build_growth_collapse(mk.GrowthCollapseSpec(1.0, 0.5), 10),
-        "ephemeral": mk.build_ephemeral(mk.EphemeralSpec(1.0, 2.0, 3.0), 10),
+        "cir": mk.build(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 10),
+        "growthcollapse": mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 10),
+        "ephemeral": mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), 10),
     }
     h = 1e-4
     worst = 0.0
@@ -306,57 +299,37 @@ def test_criterion_8_core_algebra_randomized():
 def test_criterion_9_builder_equivalence_grid():
     t0 = time.perf_counter()
     configs = 0
-    orders = (2, 5, 8)
+    orders = (2, 5, 8, 20)
     grids = []
     for ls in (0.5, 1.0, 1.7):
         for a in (0.3, 1.0):
             for b in (1.4, 2.0, 3.3):
                 if b > a:
-                    grids.append((mk.build_hawkes, embed_hawkes, mk.HawkesSpec(ls, a, b)))
+                    grids.append(mk.HawkesSpec(ls, a, b))
     for rate in (0.6, 1.3):
         for decay in (0.9, 4.0):
             for jumps in (mk.DeterministicJumps(1.2), mk.ExponentialJumps(2.1), mk.LogNormalJumps(0.1, 0.7)):
-                grids.append(
-                    (
-                        mk.build_shot_noise,
-                        embed_shot_noise,
-                        mk.ShotNoiseSpec(rate, decay, jumps, 0.2),
-                    )
-                )
+                grids.append(mk.ShotNoiseSpec(rate, decay, jumps, 0.2))
     for gamma in (0.0, 1.0, 2.0):
         for theta in (-1.3, 0.4):
             for sigma in (0.5, 1.1):
-                grids.append(
-                    (mk.build_ito, embed_ito, mk.ItoSpec(0.7, theta, sigma, gamma, 0.9))
-                )
+                grids.append(mk.ItoSpec(0.7, theta, sigma, gamma, 0.9))
     for growth in (0.8, 1.5):
         for rate in (0.4, 1.0):
             for collapse in (mk.UniformJumps(), mk.DeterministicJumps(0.5)):
-                grids.append(
-                    (
-                        mk.build_growth_collapse,
-                        embed_growth_collapse,
-                        mk.GrowthCollapseSpec(growth, rate, 0.1, collapse),
-                    )
-                )
+                grids.append(mk.GrowthCollapseSpec(growth, rate, 0.1, collapse))
     for baseline in (0.7, 1.6):
         for jump in (0.4, 1.1):
             for expiry in (1.9, 3.2):
-                grids.append(
-                    (
-                        mk.build_ephemeral,
-                        embed_ephemeral,
-                        mk.EphemeralSpec(baseline, jump, expiry, 1),
-                    )
-                )
-    for builder, embed, spec in grids:
+                grids.append(mk.EphemeralSpec(baseline, jump, expiry, 1))
+    for spec in grids:
         for order in orders:
-            assert systems_ulp_equal(
-                builder(spec, order), mk.build_generic(embed(spec), order)
+            assert systems_equal(
+                mk.build(spec, order), reference_build(spec, order)
             ), (type(spec).__name__, spec, order)
             configs += 1
     elapsed = time.perf_counter() - t0
     passed = configs >= 50 and elapsed < 5.0
-    _report(9, passed, elapsed, f"{configs} configurations matched to <= 1 ulp")
+    _report(9, passed, elapsed, f"{configs} configurations bit-identical")
     assert configs >= 50
     assert elapsed < 5.0

@@ -33,7 +33,7 @@ def test_moments_json_roundtrip_is_byte_identical(capsys):
     doc = json.loads(out)
     assert set(doc) == {"metadata", "payload"}
     assert doc["metadata"]["process"] == "hawkes"
-    assert cli._json_document(doc) == out
+    assert json.dumps(doc, separators=(",", ":")) + "\n" == out
 
 
 def test_moments_match_library(capsys):
@@ -41,7 +41,7 @@ def test_moments_match_library(capsys):
         capsys, "moments", *HAWKES, "--order", "3", "--time", "1.5", "--format", "json"
     )
     payload = json.loads(out)["payload"]
-    system, init = mk.build_hawkes(mk.HawkesSpec(1, 1, 2, 1), 3)
+    system, init = mk.build(mk.HawkesSpec(1, 1, 2, 1), 3)
     expected = mk.transient_vector(system, init, 1.5).values
     assert [p["value"] for p in payload] == pytest.approx(list(expected), rel=1e-15)
 
@@ -195,6 +195,20 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "--jumps" in err
     code, _, _ = run(capsys, "moments", "--process", "nosuch", "--params", "a=1", "--order", "1", "--time", "1")
     assert code == 2
+    for bad in ("nan", "inf", "-inf"):
+        code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", f"lambda-star={bad},alpha=1,beta=2", "--order", "1", "--time", "1")
+        assert code == 2 and "lambda-star" in err and "finite" in err
+
+
+def test_ephemeral_fractional_initial_count_is_rejected(capsys):
+    args = ["moments", "--process", "ephemeral", "--order", "2", "--time", "1", "--params"]
+    code, out, err = run(capsys, *args, "nu-star=1,alpha=2,mu=3,x0=1.5")
+    assert code == 2 and out == "" and "1.5" in err
+    code, out, _ = run(capsys, *args, "nu-star=1,alpha=2,mu=3,x0=1")
+    assert code == 0
+    system, init = mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0, 1), 2)
+    expected = mk.transient_vector(system, init, 1.0).values
+    assert [p["value"] for p in json.loads(out)["payload"]] == list(expected)
 
 
 def test_exit_code_2_on_unstable_steady(capsys):

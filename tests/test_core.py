@@ -38,8 +38,8 @@ def test_extend_two_by_two():
 def test_extend_reproduces_third_order_self_exciting_system():
     # appending the row (alpha^3, 3(beta lambda* + alpha^2)) and diagonal
     # -3(beta - alpha) to the order-2 system gives the order-3 system
-    sys2, _ = mk.build_hawkes(mk.HawkesSpec(1, 1, 2), 2)
-    sys3, _ = mk.build_hawkes(mk.HawkesSpec(1, 1, 2), 3)
+    sys2, _ = mk.build(mk.HawkesSpec(1, 1, 2), 2)
+    sys3, _ = mk.build(mk.HawkesSpec(1, 1, 2), 3)
     extended = mk.extend(sys2.theta, [1.0, 9.0], -3.0)
     assert np.array_equal(extended.packed, sys3.theta.packed)
 
@@ -205,7 +205,7 @@ def test_semigroup_law(rng):
 def test_derivative_law_second_order():
     # central difference of e^{Mt} converges at O(h^2): halving h from 1e-3
     # to 5e-4 shrinks the residual against M e^{Mt} by a factor near 4
-    system, _ = mk.build_hawkes(mk.HawkesSpec(1, 1, 2), 5)
+    system, _ = mk.build(mk.HawkesSpec(1, 1, 2), 5)
     m = system.theta
     t = 1.0
     ref = m.dense() @ mk.exp_scaled(m, t).dense()

@@ -124,7 +124,7 @@ def test_shot_noise_steady_recursive():
 
 def test_mean_reverting_diffusion_steady_variance():
     spec = mk.ItoSpec(mu=0.0, theta=-1.0, sigma=1.0, gamma=0.0, x0=0.0)
-    system, _ = mk.build_ito(spec, 2)
+    system, _ = mk.build(spec, 2)
     assert mk.steady_nth(system, 2) == pytest.approx(0.5, rel=1e-13)
 
 
@@ -147,7 +147,7 @@ def test_steady_rejects_unstable_and_singular():
     _, system, _, _ = build_fixture("cir", 3)
     with pytest.raises(NonStationary):
         mk.steady_vector(system)
-    flat, _ = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 1.0), 2)  # beta == alpha
+    flat, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 1.0), 2)  # beta == alpha
     with pytest.raises(NonStationary):
         mk.steady_nth(flat, 1)
 
@@ -204,7 +204,7 @@ def test_validate_stable_fixture():
 
 
 def test_validate_flags_zero_diagonals():
-    system, _ = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 1.0), 3)  # beta == alpha
+    system, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 1.0), 3)  # beta == alpha
     report = mk.validate(system)
     assert not report.stationary and report.singular
     assert report.zero_diagonals == (1, 2, 3)
@@ -213,7 +213,7 @@ def test_validate_flags_zero_diagonals():
 
 def test_validate_flags_drift_free_diffusion():
     for gamma in (0.0, 1.0):
-        system, _ = mk.build_ito(mk.ItoSpec(mu=1.0, theta=0.0, sigma=1.0, gamma=gamma), 4)
+        system, _ = mk.build(mk.ItoSpec(mu=1.0, theta=0.0, sigma=1.0, gamma=gamma), 4)
         report = mk.validate(system)
         assert report.singular
         assert report.zero_diagonals == (1, 2, 3, 4)
@@ -228,7 +228,7 @@ def test_validate_flags_positive_diagonals():
 
 def test_validate_predicts_overflow_order():
     spec = mk.GrowthCollapseSpec(growth=1e30, collapse_rate=1.0)
-    system, _ = mk.build_growth_collapse(spec, 12)
+    system, _ = mk.build(spec, 12)
     report = mk.validate(system)
     # stationary moments are (n+1)! (growth/rate)^n, so 1e300 falls inside
     assert report.predicted_overflow_order == 10
@@ -236,7 +236,7 @@ def test_validate_predicts_overflow_order():
 
 
 def test_validate_never_raises_on_coincident_diagonals():
-    system, _ = mk.build_ito(mk.ItoSpec(mu=0.0, theta=-1.5, sigma=1.0, gamma=2.0), 3)
+    system, _ = mk.build(mk.ItoSpec(mu=0.0, theta=-1.5, sigma=1.0, gamma=2.0), 3)
     report = mk.validate(system)
     assert (1, 3) in report.coincident_pairs
     assert not report.distinct

@@ -68,7 +68,7 @@ def test_growth_collapse_long_run_mean():
 
 def test_diffusion_discretized_estimates():
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=0.0, x0=1.0)
-    system, init = mk.build_ito(spec, 2)
+    system, init = mk.build(spec, 2)
     closed = mk.transient_vector(system, init, 2.0).values
     cfg = mk.SimConfig(paths=30000, horizon=2.0, seed=3, sim_step=1e-3)
     est = mk.estimate_moments(mk.simulate(spec, cfg), 2)
@@ -125,6 +125,12 @@ def test_sim_config_validation():
         mk.SimConfig(paths=1, horizon=-1.0, seed=0)
     with pytest.raises(InvalidInput):
         mk.SimConfig(paths=1, horizon=1.0, seed=0, sim_step=0.0)
+    # a non-finite horizon or step would never end the path loop
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInput):
+            mk.SimConfig(paths=1, horizon=bad, seed=0)
+        with pytest.raises(InvalidInput):
+            mk.SimConfig(paths=1, horizon=1.0, seed=0, sim_step=bad)
 
 
 def test_generic_matches_ephemeral_simulator():

@@ -14,21 +14,8 @@ from matryoshkan.errors import (
     UnsupportedGamma,
 )
 
-
-def ulp_equal(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= math.ulp(max(abs(a), abs(b)))
-
-
-def systems_ulp_equal(left, right) -> bool:
-    ls, li = left
-    rs, ri = right
-    return (
-        all(ulp_equal(x, y) for x, y in zip(ls.theta.packed, rs.theta.packed))
-        and all(ulp_equal(x, y) for x, y in zip(ls.theta0, rs.theta0))
-        and np.array_equal(li.powers, ri.powers)
-    )
+from conftest import FIXTURES
+from reference_builders import reference_build, systems_equal
 
 
 # -- binomial rows and Pascal matrices ----------------------------------------
@@ -148,7 +135,7 @@ def test_explicit_moments_exhaustion():
         jumps.moment(3)
     spec = mk.ShotNoiseSpec(rate=1.0, decay=1.0, jumps=jumps)
     with pytest.raises(InsufficientMoments):
-        mk.build_shot_noise(spec, 3)
+        mk.build(spec, 3)
 
 
 # -- spec validation --------------------------------------------------------------
@@ -178,21 +165,21 @@ def test_hawkes_default_initial_is_baseline():
 
 
 def test_hawkes_builder_matrices():
-    system, init = mk.build_hawkes(mk.HawkesSpec(1, 1, 2), 2)
+    system, init = mk.build(mk.HawkesSpec(1, 1, 2), 2)
     assert np.array_equal(system.theta.dense(), [[-1.0, 0.0], [5.0, -2.0]])
     assert np.array_equal(system.theta0, [2.0, 0.0])
     assert np.array_equal(init.powers, [1.0, 1.0])
-    system3, _ = mk.build_hawkes(mk.HawkesSpec(1, 1, 2), 3)
+    system3, _ = mk.build(mk.HawkesSpec(1, 1, 2), 3)
     assert np.array_equal(system3.theta.dense()[2], [1.0, 9.0, -3.0])
 
 
 def test_shot_noise_builder_matrices():
     spec = mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.DeterministicJumps(1.0))
-    system, _ = mk.build_shot_noise(spec, 2)
+    system, _ = mk.build(spec, 2)
     assert np.array_equal(system.theta.dense(), [[-4.0, 0.0], [2.0, -8.0]])
     assert np.array_equal(system.theta0, [1.0, 1.0])
     spec3 = mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.LogNormalJumps(0.0, 1.0))
-    system3, _ = mk.build_shot_noise(spec3, 3)
+    system3, _ = mk.build(spec3, 3)
     expected_shift = [math.exp(0.5), math.exp(2.0), math.exp(4.5)]
     assert np.abs(system3.theta0 / expected_shift - 1.0).max() <= 1e-15
     ej1, ej2 = math.exp(0.5), math.exp(2.0)
@@ -201,20 +188,20 @@ def test_shot_noise_builder_matrices():
 
 def test_ito_builder_matrices():
     cir = mk.ItoSpec(mu=1.0, theta=1.0, sigma=1.0, gamma=1.0, x0=1.0)
-    system, _ = mk.build_ito(cir, 2)
+    system, _ = mk.build(cir, 2)
     assert np.array_equal(system.theta.dense(), [[1.0, 0.0], [3.0, 2.0]])
     assert np.array_equal(system.theta0, [1.0, 0.0])
-    system3, _ = mk.build_ito(cir, 3)
+    system3, _ = mk.build(cir, 3)
     assert np.array_equal(system3.theta.dense()[2], [0.0, 6.0, 3.0])
     gbm = mk.ItoSpec(mu=0.5, theta=0.25, sigma=1.0, gamma=2.0, x0=1.0)
-    gsys, _ = mk.build_ito(gbm, 4)
+    gsys, _ = mk.build(gbm, 4)
     d = gsys.theta.dense()
     for k in range(1, 5):
         assert d[k - 1, k - 1] == k * 0.25 + k * (k - 1) * 0.5
     # only the drift band below the diagonal
     assert d[2, 0] == 0.0 and d[3, 1] == 0.0 and d[3, 2] == 4 * 0.5
     ou = mk.ItoSpec(mu=0.0, theta=-1.0, sigma=1.0, gamma=0.0)
-    osys, _ = mk.build_ito(ou, 3)
+    osys, _ = mk.build(ou, 3)
     assert osys.theta0[1] == 1.0  # sigma^2 enters the second shift component
     assert osys.theta.dense()[2, 0] == 3.0  # (sigma^2/2) k(k-1) band two below
 
@@ -222,11 +209,14 @@ def test_ito_builder_matrices():
 def test_ito_rejects_fractional_gamma():
     spec = mk.ItoSpec(mu=0.0, theta=-1.0, sigma=1.0, gamma=1.5)
     with pytest.raises(UnsupportedGamma):
-        mk.build_ito(spec, 2)
+        mk.build(spec, 2)
+    # the generator map itself refuses; int(1.5) would pick the gamma = 1 system
+    with pytest.raises(UnsupportedGamma):
+        spec.generator()
 
 
 def test_growth_collapse_builder_matrices():
-    system, _ = mk.build_growth_collapse(mk.GrowthCollapseSpec(1.0, 0.5), 3)
+    system, _ = mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 3)
     d = system.theta.dense()
     # diagonal k is rate*(E[C^k] - 1) = -k*rate/(k+1) under uniform collapse
     assert d[0, 0] == -0.25 and d[0, 1] == 0.0
@@ -237,7 +227,7 @@ def test_growth_collapse_builder_matrices():
 
 
 def test_ephemeral_builder_matrices():
-    system, _ = mk.build_ephemeral(mk.EphemeralSpec(1.0, 2.0, 3.0), 3)
+    system, _ = mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), 3)
     d = system.theta.dense()
     assert np.array_equal(d[:2, :2], [[-1.0, 0.0], [7.0, -2.0]])
     assert np.array_equal(d[2], [2.0, 18.0, -3.0])
@@ -249,7 +239,7 @@ def test_ephemeral_matrix_composition_matches_row_formula():
     # Pascal-matrix composition here
     spec = mk.EphemeralSpec(1.0, 2.0, 3.0, x0=1)
     n = 8
-    built, _ = mk.build_ephemeral(spec, n)
+    built, _ = mk.build(spec, n)
     ladder = np.zeros((n, n))
     for i in range(1, n):
         ladder[i, i - 1] = 1.0
@@ -266,13 +256,13 @@ def test_ephemeral_matrix_composition_matches_row_formula():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50])
 def test_diagonal_closed_forms(n):
-    hawkes, _ = mk.build_hawkes(mk.HawkesSpec(1.0, 1.0, 2.0), n)
+    hawkes, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), n)
     assert hawkes.theta.diagonal()[-1] == -n * (2.0 - 1.0)
-    shot, _ = mk.build_shot_noise(
+    shot, _ = mk.build(
         mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.DeterministicJumps(1.0)), n
     )
     assert shot.theta.diagonal()[-1] == -n * 4.0
-    eph, _ = mk.build_ephemeral(mk.EphemeralSpec(1.0, 2.0, 3.0), n)
+    eph, _ = mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), n)
     assert eph.theta.diagonal()[-1] == -n * (3.0 - 2.0)
 
 
@@ -297,81 +287,60 @@ def test_builders_are_exactly_triangular(name_builder):
 def test_growth_collapse_stationary_matches_gamma_moments():
     # generator-derived stationary law is Gamma(2, rate/growth):
     # E[Y^n] = (n+1)! (growth/rate)^n
-    system, _ = mk.build_growth_collapse(mk.GrowthCollapseSpec(1.0, 0.5), 6)
+    system, _ = mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 6)
     steady = mk.steady_vector(system).values
     for n in range(1, 7):
         assert steady[n - 1] == pytest.approx(math.factorial(n + 1) * 2.0**n, rel=1e-12)
 
 
-# -- generic builder equivalence -----------------------------------------------
-
-
-def embed_hawkes(spec):
-    return mk.GenericGeneratorSpec(
-        coeffs=(0.0, 1.0, 0.0, 0.0, spec.beta * spec.lambda_star, -spec.beta, 0.0, 0.0, 0.0, 0.0),
-        up=mk.DeterministicJumps(spec.alpha),
-        x0=spec.x0,
-    )
-
-
-def embed_shot_noise(spec):
-    return mk.GenericGeneratorSpec(
-        coeffs=(spec.rate, 0.0, 0.0, 0.0, 0.0, -spec.decay, 0.0, 0.0, 0.0, 0.0),
-        up=spec.jumps,
-        x0=spec.x0,
-    )
-
-
-def embed_ito(spec):
-    diffusion = [0.0, 0.0, 0.0]
-    diffusion[int(spec.gamma)] = spec.sigma**2 / 2
-    return mk.GenericGeneratorSpec(
-        coeffs=(0.0, 0.0, 0.0, 0.0, spec.mu, spec.theta, *diffusion, 0.0),
-        x0=spec.x0,
-    )
-
-
-def embed_growth_collapse(spec):
-    return mk.GenericGeneratorSpec(
-        coeffs=(0.0, 0.0, 0.0, 0.0, spec.growth, 0.0, 0.0, 0.0, 0.0, spec.collapse_rate),
-        collapse=spec.collapse,
-        x0=spec.x0,
-    )
-
-
-def embed_ephemeral(spec):
-    return mk.GenericGeneratorSpec(
-        coeffs=(spec.baseline, spec.jump, 0.0, spec.expiry, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        up=mk.DeterministicJumps(1.0),
-        down=mk.DeterministicJumps(1.0),
-        x0=float(spec.x0),
-    )
+# -- the one builder against the hand-written rows ------------------------------
 
 
 @pytest.mark.parametrize("order", [1, 3, 6])
 def test_generic_reproduces_specialized_builders(order):
     cases = [
-        (mk.build_hawkes, embed_hawkes, mk.HawkesSpec(1.3, 0.7, 2.1, 0.9)),
-        (
-            mk.build_shot_noise,
-            embed_shot_noise,
-            mk.ShotNoiseSpec(1.2, 3.7, mk.LogNormalJumps(0.2, 0.8), 0.4),
-        ),
-        (mk.build_ito, embed_ito, mk.ItoSpec(0.8, -1.2, 0.9, 1.0, 1.1)),
-        (mk.build_growth_collapse, embed_growth_collapse, mk.GrowthCollapseSpec(1.4, 0.8, 0.3)),
-        (mk.build_ephemeral, embed_ephemeral, mk.EphemeralSpec(1.7, 0.6, 2.9, 2)),
+        mk.HawkesSpec(1.3, 0.7, 2.1, 0.9),
+        mk.ShotNoiseSpec(1.2, 3.7, mk.LogNormalJumps(0.2, 0.8), 0.4),
+        mk.ItoSpec(0.8, -1.2, 0.9, 1.0, 1.1),
+        mk.GrowthCollapseSpec(1.4, 0.8, 0.3),
+        mk.EphemeralSpec(1.7, 0.6, 2.9, 2),
     ]
-    for builder, embed, spec in cases:
-        assert systems_ulp_equal(builder(spec, order), mk.build_generic(embed(spec), order))
+    for spec in cases:
+        assert systems_equal(mk.build(spec, order), reference_build(spec, order))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_build_matches_reference_on_fixtures(name):
+    spec, _ = FIXTURES[name]
+    orders = (10, 30) if name == "shotnoise" else (10, 30, 60, 100)
+    with warnings.catch_warnings():
+        # the reference rows read Pascal rows past 56, which warns
+        warnings.simplefilter("ignore", BinomialPrecisionWarning)
+        for order in orders:
+            assert systems_equal(mk.build(spec, order), reference_build(spec, order)), order
+
+
+def test_build_without_jumps_does_not_warn_on_binomials():
+    # drift, diffusion and collapse rows need no Pascal row, so no
+    # precision warning fires past row 56
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mk.build(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 60)
+        mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 60)
+
+
+def test_build_rejects_unsupported_objects():
+    with pytest.raises(InvalidInput):
+        mk.build(object(), 3)
 
 
 def test_generic_requires_needed_moments():
     spec = mk.GenericGeneratorSpec(coeffs=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(InsufficientMoments):
-        mk.build_generic(spec, 2)
+        mk.build(spec, 2)
     spec = mk.GenericGeneratorSpec(coeffs=(0.0,) * 9 + (1.0,))
     with pytest.raises(InsufficientMoments):
-        mk.build_generic(spec, 2)
+        mk.build(spec, 2)
 
 
 # -- fractional gamma bracketing --------------------------------------------------
@@ -380,7 +349,7 @@ def test_generic_requires_needed_moments():
 def test_gamma_bounds_integer_case_collapses():
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=1.0, x0=1.0)
     lower, upper = mk.ito_gamma_bounds(spec, 3)
-    direct, _ = mk.build_ito(spec, 3)
+    direct, _ = mk.build(spec, 3)
     assert np.array_equal(lower.theta.packed, direct.theta.packed)
     assert np.array_equal(upper.theta.packed, direct.theta.packed)
 
@@ -388,8 +357,8 @@ def test_gamma_bounds_integer_case_collapses():
 def test_gamma_bounds_fractional_pair():
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=1.5, x0=1.0)
     lower, upper = mk.ito_gamma_bounds(spec, 2)
-    lo_direct, _ = mk.build_ito(mk.ItoSpec(1.0, -1.0, 0.5, 1.0, 1.0), 2)
-    hi_direct, _ = mk.build_ito(mk.ItoSpec(1.0, -1.0, 0.5, 2.0, 1.0), 2)
+    lo_direct, _ = mk.build(mk.ItoSpec(1.0, -1.0, 0.5, 1.0, 1.0), 2)
+    hi_direct, _ = mk.build(mk.ItoSpec(1.0, -1.0, 0.5, 2.0, 1.0), 2)
     assert np.array_equal(lower.theta.packed, lo_direct.theta.packed)
     assert np.array_equal(upper.theta.packed, hi_direct.theta.packed)
 
@@ -411,10 +380,3 @@ def test_gamma_bounds_bracket_simulated_moments():
             slack = 4.0 * est.std_error + 1e-3 * abs(est.mean)
             assert lo_k - slack <= est.mean <= hi_k + slack
             assert lo_k <= hi_k
-
-
-def test_build_dispatch_matches_direct_builders():
-    spec = mk.HawkesSpec(1.0, 1.0, 2.0)
-    via_dispatch, _ = mk.build(spec, 4)
-    direct, _ = mk.build_hawkes(spec, 4)
-    assert np.array_equal(via_dispatch.theta.packed, direct.theta.packed)
