@@ -339,8 +339,11 @@ def _parse_deltas(text: str) -> list[float]:
         deltas = [float(v) for v in text.split(",") if v]
     except ValueError:
         raise _CLIError(f"--deltas: not a list of numbers: '{text}'")
-    if not deltas or any(d <= 0 for d in deltas):
+    if not deltas:
         raise _CLIError(f"--deltas: step sizes must be > 0: '{text}'")
+    for d in deltas:
+        if not 0 < d < math.inf:
+            raise _CLIError(f"--deltas: step sizes must be finite and > 0, got {d!r}")
     return deltas
 
 

@@ -235,7 +235,10 @@ def _require_stable(system: CoefficientSystem) -> None:
 def steady_vector(system: CoefficientSystem) -> MomentVector:
     """Stationary moments solving 0 = T s + c by forward substitution."""
     _require_stable(system)
-    values = core.solve_lower(system.theta, -system.theta0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = core.solve_lower(system.theta, -system.theta0)
+    if not np.all(np.isfinite(values)):
+        raise Overflow("stationary moments exceeded the double-precision range")
     return MomentVector(STATIONARY, values)
 
 

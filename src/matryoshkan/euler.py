@@ -7,6 +7,7 @@ pre-computation, so only the solve itself is measured.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,10 +31,10 @@ class EulerConfig:
     horizon: float
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise InvalidInput(f"step must be > 0, got {self.step}")
-        if self.horizon < 0:
-            raise InvalidInput(f"horizon must be >= 0, got {self.horizon}")
+        if not 0 < self.step < math.inf:
+            raise InvalidInput(f"step must be finite and > 0, got {self.step}")
+        if not 0 <= self.horizon < math.inf:
+            raise InvalidInput(f"horizon must be finite and >= 0, got {self.horizon}")
 
     @property
     def steps(self) -> int:

@@ -1,14 +1,24 @@
 """Independent Monte Carlo verification of the closed-form moments.
 
-Jump processes are simulated exactly by event-driven schemes, so their
-estimates carry no discretization bias; diffusions use Euler-Maruyama steps
-and carry O(step) weak bias, which is why they are a sanity check rather
-than a truth source.
+Every jump family is simulated exactly by one thinning kernel (Lewis and
+Shedler, 1979) on the spec's generic generator, the same map that
+``processes.build`` uses.  Affine jump rates are monotone along the
+deterministic drift flow, so the total rate over the rest of the horizon is
+bounded by its value at the two ends; proposals drawn at that bound and
+accepted with probability rate/bound give the exact law.  The kernel
+advances all live paths of a block together.
 
-Randomness comes from the Philox counter-based generator.  Every path of a
-jump process owns a substream keyed by (seed, path index), so estimates are
-reproducible regardless of how paths might be scheduled; accumulation runs
-in fixed path order, making results bit-identical for a given seed.
+Diffusions sample their exact transition law where one exists: Gaussian
+for gamma = 0, and the scaled noncentral chi-square law of the square-root
+diffusion for gamma = 1 with mu > 0, sigma > 0 and x0 >= 0 (Glasserman,
+2004, section 3.4).  Only the rest (gamma = 2, fractional gamma, gamma = 1
+outside that domain) takes Euler-Maruyama steps of ``sim_step`` and carries
+O(step) weak bias; ``sim_step`` affects nothing else.
+
+Randomness comes from the Philox counter-based generator.  Paths are cut
+into blocks of at most ``_BLOCK``, and block b draws from its own substream
+keyed by (seed, b), so the output is bit-identical for a given (spec, cfg).
+A path's value depends on (seed, paths), not on its index alone.
 """
 
 from __future__ import annotations
@@ -19,27 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimatePrecisionWarning, InvalidInput
-from .processes import (
-    EphemeralSpec,
-    GenericGeneratorSpec,
-    GrowthCollapseSpec,
-    HawkesSpec,
-    ItoSpec,
-    ProcessSpec,
-    ShotNoiseSpec,
-)
+from .errors import EstimatePrecisionWarning, InsufficientMoments, InvalidInput, Overflow
+from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
 __all__ = ["MomentEstimate", "SimConfig", "estimate_moments", "simulate"]
 
 _MASK64 = (1 << 64) - 1
-# stream index reserved for vectorized (non-per-path) draws
-_VECTOR_STREAM = 1 << 63
+# paths per block; one substream per block, and the block's state arrays
+# bound the working memory whatever the path count
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, horizon, seed, and the diffusion-only step size."""
+    """Path count, horizon, seed, and the Euler-Maruyama step size."""
 
     paths: int
     horizon: float
@@ -71,26 +74,17 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
-    """Terminal value of one path per substream, at cfg.horizon."""
-    if isinstance(spec, HawkesSpec):
-        return _per_path(cfg, _hawkes_terminal, spec)
-    if isinstance(spec, ShotNoiseSpec):
-        return _per_path(cfg, _shot_noise_terminal, spec)
-    if isinstance(spec, GrowthCollapseSpec):
-        return _per_path(cfg, _growth_collapse_terminal, spec)
-    if isinstance(spec, EphemeralSpec):
-        return _per_path(cfg, _ephemeral_terminal, spec)
-    if isinstance(spec, GenericGeneratorSpec):
-        return _per_path(cfg, _generic_terminal, spec)
+    """Terminal values of cfg.paths independent paths at cfg.horizon."""
+    if not isinstance(spec, ProcessSpec):
+        raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
     if isinstance(spec, ItoSpec):
-        return _ito_terminals(spec, cfg)
-    raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
-
-
-def _per_path(cfg: SimConfig, kernel, spec) -> np.ndarray:
+        kernel = _diffusion_kernel(spec, cfg)
+    else:
+        kernel = _thinning_kernel(spec.generator(), cfg.horizon)
     out = np.empty(cfg.paths)
-    for i in range(cfg.paths):
-        out[i] = kernel(_stream(cfg.seed, i), spec, cfg.horizon)
+    for block, start in enumerate(range(0, cfg.paths, _BLOCK)):
+        stop = min(start + _BLOCK, cfg.paths)
+        out[start:stop] = kernel(_stream(cfg.seed, block), stop - start)
     return out
 
 
@@ -118,173 +112,102 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     return out
 
 
-# -- exact jump-process kernels ---------------------------------------------
-
-
-def _hawkes_terminal(rng: np.random.Generator, spec: HawkesSpec, horizon: float) -> float:
-    """Exact simulation of the self-exciting intensity.
-
-    While the intensity sits at or above the baseline, the next arrival is
-    the minimum of two exact clocks: a homogeneous one at the baseline rate
-    and one for the decaying excess, whose integrated hazard inverts in
-    closed form (it saturates at excess/beta, so the draw may be infinite).
-    Below the baseline the intensity only climbs toward it, so a thinning
-    step bounded by the baseline stays exact.
-    """
-    lam_star = spec.lambda_star
-    beta = spec.beta
-    lam = spec.x0
-    t = 0.0
-    while True:
-        if lam >= lam_star:
-            s1 = rng.exponential() / lam_star if lam_star > 0.0 else math.inf
-            cap = (lam - lam_star) / beta
-            e2 = rng.exponential()
-            if cap > 0.0 and e2 < cap:
-                s2 = -math.log1p(-e2 / cap) / beta
-            else:
-                s2 = math.inf
-            s = min(s1, s2)
-            if t + s >= horizon:
-                break
-            t += s
-            lam = lam_star + (lam - lam_star) * math.exp(-beta * s) + spec.alpha
-        else:
-            s = rng.exponential() / lam_star
-            if t + s >= horizon:
-                break
-            t += s
-            lam = lam_star + (lam - lam_star) * math.exp(-beta * s)
-            if rng.random() * lam_star <= lam:
-                lam += spec.alpha
-    return lam_star + (lam - lam_star) * math.exp(-beta * (horizon - t))
-
-
-def _shot_noise_terminal(
-    rng: np.random.Generator, spec: ShotNoiseSpec, horizon: float
-) -> float:
-    """Exact: Poisson epoch count, uniform epochs, decayed sampled jumps."""
-    value = spec.x0 * math.exp(-spec.decay * horizon)
-    count = rng.poisson(spec.rate * horizon)
-    if count:
-        epochs = rng.random(count) * horizon
-        sizes = spec.jumps.sample(rng, count)
-        value += float(np.dot(sizes, np.exp(-spec.decay * (horizon - epochs))))
-    return value
-
-
-def _growth_collapse_terminal(
-    rng: np.random.Generator, spec: GrowthCollapseSpec, horizon: float
-) -> float:
-    """Exact: exponential collapse clocks, linear growth in between."""
-    y = spec.x0
-    t = 0.0
-    while True:
-        s = rng.exponential() / spec.collapse_rate
-        if t + s >= horizon:
-            return y + spec.growth * (horizon - t)
-        y += spec.growth * s
-        y *= spec.collapse.sample(rng)
-        t += s
-
-
-def _ephemeral_terminal(
-    rng: np.random.Generator, spec: EphemeralSpec, horizon: float
-) -> float:
-    """Exact event-driven birth-death with state-dependent birth rate."""
-    q = spec.x0
-    t = 0.0
-    while True:
-        up = spec.baseline + spec.jump * q
-        total = up + spec.expiry * q
-        s = rng.exponential() / total
-        if t + s >= horizon:
-            return float(q)
-        t += s
-        if rng.random() * total < up:
-            q += 1
-        else:
-            q -= 1
-
-
-def _drift_flow(c0: float, c1: float, x: float, s: float) -> float:
-    """State after time s under dx/dt = c0 + c1 x."""
-    if c1 == 0.0:
-        return x + c0 * s
-    g = math.exp(c1 * s)
-    return x * g + c0 * (g - 1.0) / c1
-
-
-def _generic_terminal(
-    rng: np.random.Generator, spec: GenericGeneratorSpec, horizon: float
-) -> float:
-    """Exact thinning for affine jump rates with deterministic drift flow.
-
-    Diffusion terms are not supported here; the affine rates are monotone
-    along the drift flow, so the rate over any lookahead window is bounded
-    by its value at the window's endpoints, which makes thinning exact.
-    """
-    a = spec.coeffs
+def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
+    """Exact thinning for affine jump rates along the drift dx/dt = a4 + a5 x."""
+    a = g.coeffs
     if a[6] != 0.0 or a[7] != 0.0 or a[8] != 0.0:
         raise InvalidInput("generic simulation does not support diffusion terms")
+    if a[9] < 0.0:
+        raise InvalidInput(f"negative collapse rate {a[9]!r}")
+    events = []  # (jump-size law, how it acts on the state), in draw order
+    for used, jumps, name, act in (
+        (a[0] != 0.0 or a[1] != 0.0, g.up, "up-jump", np.add),
+        (a[2] != 0.0 or a[3] != 0.0, g.down, "down-jump", np.subtract),
+        (a[9] != 0.0, g.collapse, "collapse", np.multiply),
+    ):
+        if used and jumps is None:
+            raise InsufficientMoments(f"{name} law required to simulate its rate terms")
+        events.append((jumps, act))
 
-    def rates(x: float) -> tuple[float, float, float]:
-        up = a[0] + a[1] * x
-        down = a[2] + a[3] * x
-        if up < 0.0 or down < 0.0:
-            raise InvalidInput(f"negative jump rate reached at state {x!r}")
-        return up, down, a[9]
+    def flow(x, s):
+        if a[5] == 0.0:
+            return x + a[4] * s
+        return x * np.exp(a[5] * s) + a[4] * np.expm1(a[5] * s) / a[5]
 
-    x = spec.x0
-    t = 0.0
-    while t < horizon:
-        window = horizon - t
-        x_end = _drift_flow(a[4], a[5], x, window)
-        bound = max(sum(rates(x)), sum(rates(x_end)))
-        if bound <= 0.0:
-            return x_end
-        s = rng.exponential() / bound
-        if s >= window:
-            return x_end
-        x = _drift_flow(a[4], a[5], x, s)
-        t += s
-        up, down, collapse = rates(x)
-        u = rng.random() * bound
-        if u < up:
-            x += spec.up.sample(rng)
-        elif u < up + down:
-            x -= spec.down.sample(rng)
-        elif u < up + down + collapse:
-            x *= spec.collapse.sample(rng)
-        # otherwise a thinning rejection: no event
-    return x
+    def edges(x):
+        """Cumulative up, down and collapse rates at states x: event k owns
+        the slice [edges[k-1], edges[k]) of the total rate edges[2]."""
+        up, down = a[0] + a[1] * x, a[2] + a[3] * x
+        if (up < 0.0).any() or (down < 0.0).any():
+            state = x[np.argmin(np.minimum(up, down))]
+            raise InvalidInput(f"negative jump rate reached at state {state!r}")
+        return up, up + down, up + down + a[9]
+
+    def run(rng: np.random.Generator, m: int) -> np.ndarray:
+        out = np.empty(m)
+        live = np.arange(m)
+        x, t = np.full(m, float(g.x0)), np.zeros(m)
+        while live.size:
+            window = horizon - t
+            with np.errstate(all="ignore"):
+                x_end = flow(x, window)
+                bound = np.maximum(edges(x)[2], edges(x_end)[2])
+                s = rng.standard_exponential(live.size) / bound
+            if not np.isfinite(bound).all():
+                raise Overflow("the jump-rate bound left the double-precision range")
+            done = ~(s < window)
+            out[live[done]] = x_end[done]
+            go = ~done
+            live, s, bound = live[go], s[go], bound[go]
+            x, t = flow(x[go], s), t[go] + s
+            # past the last slice (kind 3) the proposal is a thinning rejection
+            u = rng.random(live.size) * bound
+            kind = (u >= np.array(edges(x))).sum(axis=0)
+            for k, (jumps, act) in enumerate(events):
+                hit = kind == k
+                if hit.any():
+                    x[hit] = act(x[hit], jumps.sample(rng, int(hit.sum())))
+        return out
+
+    return run
 
 
-# -- discretized diffusion ----------------------------------------------------
+def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
+    """Exact transition law for gamma in {0, 1} where one exists, else
+    Euler-Maruyama across the block with the step adjusted to divide the
+    horizon; negative excursions are truncated at zero before fractional
+    powers of the state are taken."""
+    mu, theta, sigma, x0, t = spec.mu, spec.theta, spec.sigma, float(spec.x0), cfg.horizon
+    if t == 0.0:
+        return lambda rng, m: np.full(m, x0)
 
+    def integral(rate: float) -> float:
+        """The integral of e^{rate s} over [0, t]."""
+        return math.expm1(rate * t) / rate if rate != 0.0 else t
 
-def _ito_terminals(spec: ItoSpec, cfg: SimConfig) -> np.ndarray:
-    """Euler-Maruyama across all paths at once, one normal vector per step.
+    try:
+        if spec.gamma == 0.0:
+            mean = x0 * math.exp(theta * t) + mu * integral(theta)
+            sd = abs(sigma) * math.sqrt(integral(2.0 * theta))
+            return lambda rng, m: mean + sd * rng.standard_normal(m)
+        if spec.gamma == 1.0 and mu > 0.0 and sigma > 0.0 and x0 >= 0.0:
+            scale = sigma**2 * integral(theta) / 4.0
+            df, nonc = 4.0 * mu / sigma**2, x0 * math.exp(theta * t) / scale
+            return lambda rng, m: scale * rng.noncentral_chisquare(df, nonc, m)
+    except OverflowError:
+        raise Overflow(f"transition law at t = {t!r} exceeds the double range") from None
 
-    The step is adjusted to divide the horizon exactly.  The estimate has
-    O(step) weak bias; negative excursions are truncated at zero before
-    fractional powers of the state are taken.
-    """
-    if cfg.horizon == 0.0:
-        return np.full(cfg.paths, float(spec.x0))
-    steps = max(1, round(cfg.horizon / cfg.sim_step))
-    dt = cfg.horizon / steps
+    steps = max(1, round(t / cfg.sim_step))
+    dt = t / steps
     sqdt = math.sqrt(dt)
-    rng = _stream(cfg.seed, _VECTOR_STREAM)
-    s = np.full(cfg.paths, float(spec.x0))
     expo = spec.gamma / 2.0
-    for _ in range(steps):
-        z = rng.standard_normal(cfg.paths)
-        if expo == 0.0:
-            vol = spec.sigma
-        elif expo == 1.0:
-            vol = spec.sigma * s
-        else:
-            vol = spec.sigma * np.maximum(s, 0.0) ** expo
-        s += (spec.mu + spec.theta * s) * dt + vol * (sqdt * z)
-    return s
+
+    def euler(rng: np.random.Generator, m: int) -> np.ndarray:
+        s = np.full(m, x0)
+        for _ in range(steps):
+            z = rng.standard_normal(m)
+            vol = sigma * s if expo == 1.0 else sigma * np.maximum(s, 0.0) ** expo
+            s += (mu + theta * s) * dt + vol * (sqdt * z)
+        return s
+
+    return euler

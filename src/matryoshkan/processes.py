@@ -74,6 +74,18 @@ def binomial_row(n: int) -> np.ndarray:
     return _BINOM_ROWS[n].copy()
 
 
+def _require_finite(record) -> None:
+    """Reject NaN and infinite numeric fields, naming the first one; NaN
+    passes every ordering check, so this runs before them."""
+    for name, value in vars(record).items():
+        if isinstance(value, tuple):
+            for i, v in enumerate(value):
+                if not math.isfinite(v):
+                    raise InvalidInput(f"{name}[{i}] must be finite, got {v!r}")
+        elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value!r}")
+
+
 # -- jump-size moment providers --------------------------------------------
 
 
@@ -112,6 +124,7 @@ class DeterministicJumps(JumpMoments):
     size: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.size < 0:
             raise InvalidInput(f"jump size must be >= 0, got {self.size}")
 
@@ -137,6 +150,7 @@ class ExponentialJumps(JumpMoments):
     rate: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rate <= 0:
             raise InvalidInput(f"exponential rate must be > 0, got {self.rate}")
 
@@ -158,6 +172,7 @@ class LogNormalJumps(JumpMoments):
     scale: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.scale < 0:
             raise InvalidInput(f"lognormal scale must be >= 0, got {self.scale}")
 
@@ -203,6 +218,7 @@ class ExplicitJumps(JumpMoments):
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
+        _require_finite(self)
         if not vals:
             raise InvalidInput("explicit moment sequence is empty")
         if any(v <= 0 for v in vals):
@@ -248,6 +264,7 @@ class HawkesSpec:
     x0: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lambda_star <= 0:
             raise InvalidInput(f"lambda_star must be > 0, got {self.lambda_star}")
         if self.alpha <= 0:
@@ -278,6 +295,7 @@ class ShotNoiseSpec:
     x0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rate <= 0:
             raise InvalidInput(f"arrival rate must be > 0, got {self.rate}")
         if self.decay <= 0:
@@ -308,6 +326,7 @@ class ItoSpec:
     x0: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 <= self.gamma <= 2.0:
             raise UnsupportedGamma(
                 f"gamma must lie in [0, 2], got {self.gamma}"
@@ -342,6 +361,7 @@ class GrowthCollapseSpec:
     collapse: JumpMoments = field(default_factory=UniformJumps)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.growth <= 0:
             raise InvalidInput(f"growth rate must be > 0, got {self.growth}")
         if self.collapse_rate <= 0:
@@ -370,6 +390,7 @@ class EphemeralSpec:
     x0: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.baseline <= 0:
             raise InvalidInput(f"baseline must be > 0, got {self.baseline}")
         if self.jump <= 0:
@@ -412,6 +433,7 @@ class GenericGeneratorSpec:
         if len(c) != 10:
             raise InvalidInput(f"expected 10 generator coefficients, got {len(c)}")
         object.__setattr__(self, "coeffs", c)
+        _require_finite(self)
 
     def generator(self) -> GenericGeneratorSpec:
         return self

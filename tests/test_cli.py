@@ -284,6 +284,22 @@ def test_exit_code_3_on_numerical_failures(capsys):
     assert code == 3 and "Overflow" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_steady_overflow_exits_three(capsys):
+    code, out, err = run(
+        capsys, "steady", "--process", "growthcollapse", "--params", "lambda=1e30,mu=1", "--order", "12"
+    )
+    assert code == 3 and out == "" and "Overflow" in err
+
+
+def test_bench_rejects_non_finite_deltas(capsys):
+    for bad in ("nan", "inf"):
+        code, out, err = run(
+            capsys, "bench", *HAWKES, "--order", "3", "--time", "1", "--deltas", f"1e-2,{bad}"
+        )
+        assert code == 2 and out == "" and "--deltas" in err and bad in err
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

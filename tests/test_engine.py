@@ -152,6 +152,19 @@ def test_steady_rejects_unstable_and_singular():
         mk.steady_nth(flat, 1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_steady_overflow_raises():
+    # growth-collapse moments grow like (n+1)! 1e30^n: order 11 leaves the
+    # double range, which must raise, not return infinities or warn
+    system, _ = mk.build(mk.GrowthCollapseSpec(1e30, 1.0), 12)
+    with pytest.raises(Overflow):
+        mk.steady_vector(system)
+    with pytest.raises(Overflow):
+        mk.steady_nth(system, 12)
+    assert np.all(np.isfinite(mk.steady_vector(system.leading(10)).values))
+    assert mk.validate(system).predicted_overflow_order == 10
+
+
 # -- invariants ------------------------------------------------------------------
 
 

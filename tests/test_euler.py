@@ -28,6 +28,15 @@ def test_config_step_accounting():
         mk.EulerConfig(step=0.0, horizon=1.0)
 
 
+def test_config_rejects_non_finite_values():
+    # a NaN step used to crash in steps(); an infinite one took zero steps
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="finite"):
+            mk.EulerConfig(step=bad, horizon=1.0)
+        with pytest.raises(InvalidInput, match="finite"):
+            mk.EulerConfig(step=1e-3, horizon=bad)
+
+
 def test_fine_step_limit_matches_closed_form():
     # first-moment solve at step 1e-6 against the closed form
     _, system, init, _ = build_fixture("hawkes", 1)

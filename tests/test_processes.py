@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -154,6 +155,31 @@ def test_spec_validation_errors():
         mk.EphemeralSpec(baseline=1.0, jump=1.0, expiry=2.0, x0=-1)
     with pytest.raises(InvalidInput):
         mk.GenericGeneratorSpec(coeffs=(1.0,) * 9)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: mk.HawkesSpec(v, 1.0, 2.0), "lambda_star"),
+        (lambda v: mk.HawkesSpec(1.0, 1.0, 2.0, x0=v), "x0"),
+        (lambda v: mk.ShotNoiseSpec(1.0, v, mk.UniformJumps()), "decay"),
+        (lambda v: mk.ItoSpec(v, -1.0, 1.0, 1.0), "mu"),
+        (lambda v: mk.ItoSpec(1.0, -1.0, 1.0, v), "gamma"),
+        (lambda v: mk.GrowthCollapseSpec(1.0, v), "collapse_rate"),
+        (lambda v: mk.EphemeralSpec(v, 2.0, 3.0), "baseline"),
+        (lambda v: mk.GenericGeneratorSpec((1.0,) * 4 + (v,) + (0.0,) * 5), "coeffs[4]"),
+        (lambda v: mk.DeterministicJumps(v), "size"),
+        (lambda v: mk.ExponentialJumps(v), "rate"),
+        (lambda v: mk.LogNormalJumps(v, 1.0), "location"),
+        (lambda v: mk.LogNormalJumps(0.0, v), "scale"),
+        (lambda v: mk.ExplicitJumps((1.0, v)), "values[1]"),
+    ],
+)
+def test_records_reject_non_finite_fields(make, field):
+    # NaN passes every ordering check; left in, it made simulation loop forever
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput, match=re.escape(field) + " must be finite"):
+            make(bad)
 
 
 def test_hawkes_default_initial_is_baseline():
