@@ -2,8 +2,8 @@
 
 Documents go to standard output as JSON ({"metadata": ..., "payload": ...})
 or CSV with fixed schemas; diagnostics go to standard error.  Exit codes:
-0 success, 2 invalid parameters, 3 numerical failure (DegenerateSpectrum,
-SingularMatrix or Overflow, named in the message).
+0 success, 2 invalid parameters, 3 numerical failure (named in the message;
+in practice Overflow, when moments leave the double range).
 
 Floats are serialized with repr, which round-trips exactly (up to 17
 significant digits), so re-parsing and re-emitting a document is a byte

@@ -6,7 +6,10 @@ storage makes the nesting literal (the order-k block is a prefix of the
 buffer), and the inverse, integer powers, the scaled matrix exponential and
 the eigendecomposition are all assembled one trailing row at a time.  Each
 new row costs a vector-matrix product plus one triangular substitution, so
-extending from order n-1 to n is O(n^2) and a full build is O(n^3).
+extending from order n-1 to n is O(n^2) and a full build is O(n^3).  The
+moment engine's transient solution is the one dense routine: ``_affine_flow``
+applies the exponential of the augmented generator by graded scaling and
+squaring, which needs no distinct spectrum.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -31,7 +34,6 @@ __all__ = [
     "EigenPair",
     "MatryoshkanMatrix",
     "add",
-    "coincident_diagonal_pairs",
     "eigendecompose",
     "exp_scaled",
     "extend",
@@ -55,6 +57,19 @@ _EXP_ARG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
 # compound row over row.
 _EXP_ROW_SWITCH = 0.15
 _PHI_SERIES_NORM = 0.5
+
+# Pade-13 coefficients b_0..b_13 and the largest 1-norm of X at which r_13(X)
+# meets e^X to unit roundoff (Higham, SIMAX 26, 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+_LOG_EPS = math.log(np.finfo(np.float64).eps)
+# Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
+# is identically zero and takes the lowest.
+_GRADE_EXP = 1000
 
 
 def _packed_size(order: int) -> int:
@@ -176,13 +191,12 @@ class MatryoshkanMatrix:
         """1-based diagonal index pairs that coincide under DISTINCT_RTOL."""
         if self._coincident is None:
             d = self.diagonal()
-            pairs = []
-            for i in range(self.order):
-                for j in range(i + 1, self.order):
-                    tol = DISTINCT_RTOL * max(1.0, abs(d[i]), abs(d[j]))
-                    if abs(d[i] - d[j]) <= tol:
-                        pairs.append((i + 1, j + 1))
-            object.__setattr__(self, "_coincident", tuple(pairs))
+            a = np.abs(d)
+            tol = DISTINCT_RTOL * np.maximum(1.0, np.maximum(a[:, None], a[None, :]))
+            hit = np.triu(np.abs(d[:, None] - d[None, :]) <= tol, k=1)
+            i, j = np.nonzero(hit)  # row-major: ordered by i, then j
+            pairs = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
+            object.__setattr__(self, "_coincident", pairs)
         return self._coincident
 
     def __repr__(self) -> str:
@@ -409,6 +423,90 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
     return MatryoshkanMatrix.from_dense(E)
+
+
+def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Power-of-two exponents e_k of a diagonal similarity for e^{A t} v.
+
+    Component k is scaled by its heaviest generator path from row 0 or from
+    v, the p-th jump into component k weighing |a_kj| min(t/p, 1/|a_kk|):
+    within time t a path of p jumps carries t^p/p!, and a decaying component
+    holds at most 1/|a_kk| of its inflow.  Each component keeps only its
+    heaviest path, so row k reads rows <= k alone, and the pass works in
+    logarithms so that no weight underflows.
+    """
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(A))
+        log_w = np.log(np.abs(v))
+        log_hold = -np.log(np.abs(np.diagonal(A)))
+    log_t = math.log(t)
+    jumps = [0] * A.shape[0]
+    log_next = np.full(A.shape[0], log_t)  # log(t / (jumps + 1)), the next jump's time factor
+    for k in range(1, A.shape[0]):
+        cand = np.minimum(log_next[:k], log_hold[k])
+        cand += log_w[:k]
+        cand += log_a[k, :k]
+        j = int(cand.argmax())
+        if cand[j] > log_w[k]:
+            log_w[k] = cand[j]
+            jumps[k] = jumps[j] + 1
+            log_next[k] = log_t - math.log(jumps[k] + 1)
+    e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -_GRADE_EXP)
+    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int64)
+
+
+def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: float) -> np.ndarray:
+    """s(t) for s' = M s + shift, s(0) = init, with t > 0.
+
+    s(t) is rows 1..n of e^{A t} [1; init] for the augmented generator
+    A = [[0, 0], [shift, M]] (Van Loan, IEEE TAC 23, 1978), which needs no
+    resolvent and no distinct spectrum.  The exponential is graded Pade-13
+    scaling and squaring: the grading D = diag(2^e) makes every component of
+    D^{-1} e^{At} [1; init] of order one, B = D^{-1} A t D is scaled by 2^{-s}
+    under theta_13, the lower-triangular Pade denominator is solved
+    index-reversed (upper triangular, so partial pivoting never swaps a
+    row), and the diagonal is reset to the exact e^{a_kk tau} after each
+    squaring (Al-Mohy & Higham, SIMAX 31, 2009).  Powers of two keep the
+    grading and the scaling exact.
+
+    Once every e^{d_k t} is below machine epsilon, the origin moves to the
+    stationary point s_inf, so the flow carries only the small remainder
+    init - s_inf and near-stationary moments stay a smooth function of t.
+    Entries that leave the double range come back non-finite.
+    """
+    n = m.order
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = None
+        if np.all(m.diagonal() * t <= _LOG_EPS):
+            anchor = solve_lower(m, -shift)
+            shift = m.dense() @ anchor + shift
+            init = init - anchor
+        A = np.zeros((n + 1, n + 1))
+        A[1:, 0] = shift
+        A[1:, 1:] = m.dense()
+        v = np.concatenate(([1.0], init))
+        e = _grading(A, v, t)
+        B = np.ldexp(A * t, e[None, :] - e[:, None])
+        norm = float(np.abs(B).sum(axis=0).max())
+        if not math.isfinite(norm):
+            raise Overflow("generator entries times t exceed the double-precision range")
+        s = 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
+        X = np.ldexp(B, -s)
+        b = _PADE13
+        eye = np.eye(n + 1)
+        X2 = X @ X
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+        V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+        R = np.linalg.solve((V - U)[::-1, ::-1], (V + U)[::-1])[::-1]
+        diag = np.diagonal(A) * t
+        idx = np.diag_indices(n + 1)
+        for i in range(s):
+            R = R @ R
+            R[idx] = np.exp(np.ldexp(diag, i + 1 - s))
+        flow = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
+        return flow if anchor is None else anchor + flow
 
 
 def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:

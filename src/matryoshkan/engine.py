@@ -2,13 +2,13 @@
 
 A coefficient system pairs a nested lower-triangular matrix T with a shift
 vector c so that the moment vector s(t) = (E[X_t], ..., E[X_t^n]) obeys
-s'(t) = T s(t) + c.  Because T is triangular with the nesting property, the
-transient solution
+s'(t) = T s(t) + c.  The transient solution is rows 1..n of one exponential
+of the augmented generator,
 
-    s(t) = e^{T t} s(0) - T^{-1} (I - e^{T t}) c
+    [1; s(t)] = e^{A t} [1; s(0)],      A = [[0, 0], [c, T]],
 
-is evaluated directly at the target time (no stepping), and the stationary
-vector solves 0 = T s + c by forward substitution.
+evaluated directly at the target time (no stepping) with no inverse of T,
+and the stationary vector solves 0 = T s + c by forward substitution.
 """
 
 from __future__ import annotations
@@ -112,52 +112,11 @@ class MomentVector:
         return self.values.shape[0]
 
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _abs_substitution(L: np.ndarray, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution on absolute values: a first-order bound on how
-    rounding in solve_lower can grow through the triangle."""
-    z = np.empty(rhs.shape[0])
-    for i in range(rhs.shape[0]):
-        z[i] = (rhs[i] + np.dot(np.abs(L[i, :i]), z[:i])) / abs(diag[i])
-    return z
-
-
-def _shift_response(
-    theta: MatryoshkanMatrix, E: np.ndarray, shift: np.ndarray, t: float
-) -> np.ndarray:
-    """The shift response -T^{-1} (I - e^{T t}) c of the transient solution.
-
-    Solved as T w = e^{T t} c - c, which differences at the scale of c.  The
-    substitution can still lose the answer when the true response decays
-    geometrically down the triangle while the band amplifies absolute error;
-    a running error bound detects that, and the response is then rebuilt
-    from the series form t phi1(T t) c, whose terms accumulate without
-    cancellation.
-    """
-    u = E @ shift - shift
-    w = core.solve_lower(theta, u)
-    L = theta.dense()
-    grow = np.abs(u) + np.abs(L) @ np.abs(w)
-    z = _abs_substitution(L, theta.diagonal(), grow)
-    if np.any(_EPS * z > 1e-12 * np.abs(w)):
-        w = t * (core._phi1(L * t) @ shift)
-    return w
-
-
 def _check_horizon(t: float) -> float:
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise InvalidInput(f"time must be finite and >= 0, got {t}")
     return t
-
-
-def _scalar_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise Overflow(f"exp argument {x:.6g} exceeds the scalar range") from None
 
 
 def transient_vector(
@@ -171,9 +130,7 @@ def transient_vector(
         )
     if t == 0.0:
         return MomentVector(0.0, init.powers)
-    E = core.exp_scaled(system.theta, t).dense()
-    w = _shift_response(system.theta, E, system.theta0, t)
-    values = E @ init.powers + w
+    values = core._affine_flow(system.theta, system.theta0, init.powers, t)
     if not np.all(np.isfinite(values)):
         raise Overflow("transient moments exceeded the double-precision range")
     return MomentVector(t, values)
@@ -182,43 +139,11 @@ def transient_vector(
 def transient_scalar(
     system: CoefficientSystem, init: InitialMomentVector, t: float, n: int
 ) -> float:
-    """The n-th moment at time t via the four-term trailing-row formula.
-
-    For n = 1 the two matrix terms are empty blocks, defined as zero, and
-    the formula degenerates to the scalar linear-ODE solution.
-    """
-    t = _check_horizon(t)
+    """The n-th moment at time t, from the leading order-n system alone."""
     if not 1 <= n <= system.order:
         raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
-    d = system.theta.diagonal()
-    dn = d[n - 1]
-    c_n = system.theta0[n - 1]
-    e_nn = _scalar_exp(dn * t)
-    if n == 1:
-        if dn == 0.0:
-            raise core.SingularMatrix(1)
-        return init.x0 * e_nn - c_n * (1.0 - e_nn) / dn
-    block = system.theta.leading(n - 1)
-    row = system.theta.sub_row(n - 1)
-    shift_head = system.theta0[: n - 1]
-    En = core.exp_scaled(system.theta.leading(n), t).dense()
-    E1 = En[: n - 1, : n - 1]
-
-    # resolvent term: row (T_{n-1} - d_n I)^{-1} (e^{T t} - e^{d_n t} I) v.
-    # That prefactor is exactly the trailing row of the order-n exponential,
-    # already evaluated through its numerically safe path.
-    v = init.powers[: n - 1] + shift_head / dn
-    resolvent_term = float(np.dot(En[n - 1, : n - 1], v))
-
-    initial_term = init.powers[n - 1] * e_nn
-    shift_term = -c_n * (1.0 - e_nn) / dn
-
-    # inverse term: (row / d_n) T_{n-1}^{-1} (I - e^{T t}) c_{n-1}; the inner
-    # factor is the negated shift response of the leading block
-    w_head = _shift_response(block, np.ascontiguousarray(E1), shift_head, t)
-    inverse_term = -float(np.dot(row, w_head)) / dn
-
-    return resolvent_term + initial_term + shift_term + inverse_term
+    head = InitialMomentVector(init.x0, init.powers[:n])
+    return float(transient_vector(system.leading(n), head, t).values[-1])
 
 
 def _require_stable(system: CoefficientSystem) -> None:

@@ -219,56 +219,38 @@ def test_exit_code_2_on_unstable_steady(capsys):
 
 
 def test_exit_code_3_on_numerical_failures(capsys):
-    # coincident diagonals: gamma = 2 with theta = -1.5 makes orders 1 and 3 collide
-    code, _, err = run(
-        capsys,
-        "moments",
-        "--process",
-        "ito",
-        "--params",
-        "mu=0,theta=-1.5,sigma=1,gamma=2,x0=1",
-        "--order",
-        "3",
-        "--time",
-        "1",
-    )
-    assert code == 3 and "DegenerateSpectrum" in err
+    # Coincident, zero and all-zero diagonals solve: the augmented
+    # exponential needs no distinct spectrum and no inverse.  Each payload
+    # equals the library's transient moments.
+    solvable = [
+        # gamma = 2 with theta = -1.5 makes orders 1 and 3 collide
+        (
+            ["--process", "ito", "--params", "mu=0,theta=-1.5,sigma=1,gamma=2,x0=1", "--order", "3"],
+            mk.ItoSpec(mu=0.0, theta=-1.5, sigma=1.0, gamma=2.0, x0=1.0),
+        ),
+        # a zero pivot: growth plus uniform collapse tuned so the first diagonal vanishes
+        (
+            ["--process", "generic", "--params", "a4=1,a5=0.5,a9=1,x0=1", "--jumps-C", "uniform", "--order", "2"],
+            mk.GenericGeneratorSpec(
+                coeffs=(0.0, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 1.0),
+                collapse=mk.UniformJumps(),
+                x0=1.0,
+            ),
+        ),
+        # drift-free diffusion: every diagonal is zero
+        (
+            ["--process", "ito", "--params", "mu=1,theta=0,sigma=1,gamma=1,x0=0", "--order", "2"],
+            mk.ItoSpec(mu=1.0, theta=0.0, sigma=1.0, gamma=1.0, x0=0.0),
+        ),
+    ]
+    for argv, spec in solvable:
+        code, out, err = run(capsys, "moments", *argv, "--time", "1", "--format", "json")
+        assert code == 0 and err == "", (argv, err)
+        system, init = mk.build(spec, len(json.loads(out)["payload"]))
+        expected = mk.transient_vector(system, init, 1.0).values
+        assert [p["value"] for p in json.loads(out)["payload"]] == list(expected)
 
-    # a zero pivot with an otherwise distinct spectrum: growth plus uniform
-    # collapse tuned so the first diagonal vanishes
-    code, _, err = run(
-        capsys,
-        "moments",
-        "--process",
-        "generic",
-        "--params",
-        "a4=1,a5=0.5,a9=1,x0=1",
-        "--jumps-C",
-        "uniform",
-        "--order",
-        "2",
-        "--time",
-        "1",
-    )
-    assert code == 3 and "SingularMatrix" in err
-
-    # drift-free diffusion: every diagonal is zero, so the spectrum check
-    # trips first; still a numerical failure
-    code, _, err = run(
-        capsys,
-        "moments",
-        "--process",
-        "ito",
-        "--params",
-        "mu=1,theta=0,sigma=1,gamma=1,x0=0",
-        "--order",
-        "2",
-        "--time",
-        "1",
-    )
-    assert code == 3 and "DegenerateSpectrum" in err
-
-    # scalar exponential range: explosive diffusion far out in time
+    # explosive diffusion far out in time: the moments leave the double range
     code, _, err = run(
         capsys,
         "moments",

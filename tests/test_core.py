@@ -255,6 +255,30 @@ def test_eigendecompose_degenerate():
 # -- nesting and closure --------------------------------------------------------
 
 
+def brute_force_coincident_pairs(d):
+    """The double loop the vectorised comparison replaced."""
+    pairs = []
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            tol = core.DISTINCT_RTOL * max(1.0, abs(d[i]), abs(d[j]))
+            if abs(d[i] - d[j]) <= tol:
+                pairs.append((i + 1, j + 1))
+    return tuple(pairs)
+
+
+def test_coincident_pairs_match_brute_force_loop(rng):
+    for case in range(200):
+        order = int(rng.integers(1, 40))
+        # few distinct values, so ties are common; then nudge some entries by
+        # just under, at and just over the tolerance
+        d = rng.choice([-3.0, -1.0, -0.5, 0.0, 2.0, -1e3], order)
+        nudge = rng.choice([0.0, 0.5e-9, 1e-9, 2e-9, 1e-3], order)
+        d = d + nudge * np.maximum(1.0, np.abs(d))
+        m = mk.MatryoshkanMatrix.from_diagonal(d)
+        assert m.coincident_pairs() == brute_force_coincident_pairs(m.diagonal())
+        assert m.has_distinct_spectrum == (not brute_force_coincident_pairs(m.diagonal()))
+
+
 def test_nesting_is_exact_for_all_operations(rng):
     m = random_matryoshkan(rng, 12, diag_low=-6.0, diag_high=-0.5)
     other = random_matryoshkan(rng, 12, diag_low=-3.0, diag_high=-0.1)

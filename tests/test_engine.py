@@ -7,6 +7,7 @@ import matryoshkan as mk
 from matryoshkan.errors import InvalidInput, NonStationary, Overflow
 
 from conftest import FIXTURES, NONNEGATIVE, STABLE, build_fixture
+from oracle import cached_transient_references, worst_relative_error
 
 
 def scalar_system(theta11, theta01):
@@ -64,6 +65,80 @@ def test_second_moment_against_fine_step_reference():
     reference = 4.999773003547263
     value = mk.transient_scalar(system, init, 10.0, 2)
     assert abs(value - reference) <= 1e-5 * reference
+
+
+def gaussian_moments(mean, var, n):
+    """E[X^k], k = 1..n, of N(mean, var): sum over even j of C(k, j) mean^(k-j) var^(j/2) (j-1)!!."""
+    def double_factorial(m):
+        return math.prod(range(m, 0, -2))
+
+    return np.array([
+        sum(math.comb(k, j) * mean ** (k - j) * var ** (j // 2) * double_factorial(j - 1) for j in range(0, k + 1, 2))
+        for k in range(1, n + 1)
+    ])
+
+
+def test_poisson_counting_moments():
+    # unit up-jumps at constant rate 2: N_3 ~ Poisson(6); the diagonal is all zero
+    spec = mk.GenericGeneratorSpec(coeffs=(2.0,) + (0.0,) * 9, up=mk.DeterministicJumps(1.0))
+    system, init = mk.build(spec, 3)
+    out = mk.transient_vector(system, init, 3.0).values
+    assert out == pytest.approx([6.0, 42.0, 330.0], rel=1e-14)
+
+
+def test_brownian_motion_with_drift_moments():
+    # X_t ~ N(mu t, sigma^2 t): E X = mu t, E X^2 = sigma^2 t + mu^2 t^2
+    mu, sigma, t = 0.7, 1.3, 2.5
+    system, init = mk.build(mk.ItoSpec(mu, 0.0, sigma, 0.0, 0.0), 6)
+    out = mk.transient_vector(system, init, t).values
+    assert out[0] == pytest.approx(mu * t, rel=1e-14)
+    assert out[1] == pytest.approx(sigma**2 * t + mu**2 * t**2, rel=1e-14)
+    assert out == pytest.approx(gaussian_moments(mu * t, sigma**2 * t, 6), rel=1e-13)
+
+
+def test_ornstein_uhlenbeck_from_zero_moments():
+    # X_t ~ N(mu (1 - e^{theta t}) / -theta, sigma^2 (e^{2 theta t} - 1) / (2 theta))
+    mu, theta, sigma, t = 1.0, -1.0, 1.0, 0.8
+    system, init = mk.build(mk.ItoSpec(mu, theta, sigma, 0.0, 0.0), 8)
+    out = mk.transient_vector(system, init, t).values
+    mean = mu * math.expm1(theta * t) / theta
+    var = sigma**2 * math.expm1(2 * theta * t) / (2 * theta)
+    assert out == pytest.approx(gaussian_moments(mean, var, 8), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "theta, sigma",
+    [
+        (0.0, 0.5),  # d_1 = 0
+        (-1.0, 1.0),  # d_1 = d_2 = -1 and d_3 = 0
+    ],
+)
+def test_geometric_brownian_motion_moments(theta, sigma):
+    # E S_t^k = x0^k e^{d_k t} with d_k = theta k + sigma^2 k (k - 1) / 2
+    x0, t, n = 1.5, 2.0, 6
+    system, init = mk.build(mk.ItoSpec(0.0, theta, sigma, 2.0, x0), n)
+    out = mk.transient_vector(system, init, t).values
+    k = np.arange(1, n + 1)
+    d = theta * k + sigma**2 * k * (k - 1) / 2
+    assert out == pytest.approx(x0**k * np.exp(d * t), rel=1e-13)
+    assert mk.transient_scalar(system, init, t, n) == pytest.approx(out[-1], rel=1e-13)
+
+
+@pytest.mark.filterwarnings("ignore::matryoshkan.errors.BinomialPrecisionWarning")
+def test_transient_matches_mpmath_reference_on_every_cached_cell():
+    # the cached references are mpmath eigen-expansions of the augmented
+    # generator at 64+ digits (benchmarks/reference.py): six families, orders
+    # 3 to 100, t from 0.01 to 50.  The bound sits above rounding (3.7e-15
+    # measured) and below what a pivoting Pade solve (2e-13) or an inexact
+    # squared diagonal (2.1e-14) give.
+    errors = {}
+    for key, system, init, time, ref in cached_transient_references(mk):
+        errors[key] = worst_relative_error(mk.transient_vector(system, init, time).values, ref)
+    assert len(errors) >= 80
+    for key in ("hawkes:n=100:t=1", "ephemeral:n=60:t=0.1", "growthcollapse:n=100:t=0.01", "shotnoise:n=30:t=0.01"):
+        assert key in errors
+    worst = sorted(errors.items(), key=lambda item: item[1])[-3:]
+    assert worst[-1][1] <= 1e-14, worst
 
 
 def test_initial_powers_are_recomputable():
