@@ -256,7 +256,7 @@ def test_eigendecompose_degenerate():
 
 
 def brute_force_coincident_pairs(d):
-    """The double loop the vectorised comparison replaced."""
+    """Reference: every pair tested in a double loop, in the order coincident_pairs returns them."""
     pairs = []
     for i in range(len(d)):
         for j in range(i + 1, len(d)):

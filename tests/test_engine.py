@@ -128,7 +128,7 @@ def test_geometric_brownian_motion_moments(theta, sigma):
 def test_transient_matches_mpmath_reference_on_every_cached_cell():
     # the cached references are mpmath eigen-expansions of the augmented
     # generator at 64+ digits (benchmarks/reference.py): six families, orders
-    # 3 to 100, t from 0.01 to 50.  The bound sits above rounding (3.7e-15
+    # 3 to 100, t from 0.01 to 50.  The bound sits above rounding (3.9e-15
     # measured) and below what a pivoting Pade solve (2e-13) or an inexact
     # squared diagonal (2.1e-14) give.
     errors = {}
