@@ -3,13 +3,16 @@
 The matrices handled here belong to nested sequences: the leading k-by-k
 block of the order-n member is itself the order-k member.  Packed row-major
 storage makes the nesting literal (the order-k block is a prefix of the
-buffer), and the inverse, integer powers, the scaled matrix exponential and
-the eigendecomposition are all assembled one trailing row at a time.  Each
-new row costs a vector-matrix product plus one triangular substitution, so
-extending from order n-1 to n is O(n^2) and a full build is O(n^3).  The
-moment engine's transient solution is the one dense routine: ``_affine_flow``
+buffer), and every operation assembles its result one row at a time from the
+leading block alone, so ``op(m).leading(k)`` equals ``op(m.leading(k))`` bit
+for bit.  The inverse and the eigendecomposition extend row by row with one
+vector-matrix product and one triangular substitution, O(n^2) per row.
+Products take row i as a vector times the leading (i+1)-block, integer powers
+are binary powering over that product, and row i of the scaled exponential is
+row i of the dense Pade-13 exponential of the leading (i+1)-block.  The same
+Pade kernel serves the moment engine's transient solution: ``_affine_flow``
 applies the exponential of the augmented generator by graded scaling and
-squaring, which needs no distinct spectrum.
+squaring.  None of these needs a distinct spectrum.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum,
     InvalidDimension,
+    InvalidInput,
     Overflow,
     SingularMatrix,
 )
@@ -44,19 +48,10 @@ __all__ = [
 ]
 
 # Two diagonal entries a, b count as coincident when
-# |a - b| <= DISTINCT_RTOL * max(1, |a|, |b|).  The resolvent solves lose all
-# accuracy near coincidence, so we fail loudly instead of returning noise.
+# |a - b| <= DISTINCT_RTOL * max(1, |a|, |b|).  The eigendecomposition divides
+# by diagonal gaps and a repeated diagonal can be defective, so it fails
+# loudly instead of returning noise.
 DISTINCT_RTOL = 1e-9
-
-_EXP_ARG_MAX = math.log(np.finfo(np.float64).max)  # ~709.78
-
-# An exponential row whose nearest diagonal gap satisfies gap * |t| below
-# this threshold is evaluated through the phi1 form instead of the resolvent
-# substitution: the divided differences (e^{d_j t} - e^{d_i t}) cancel in
-# proportion to the gap, and with several clustered diagonals the lost digits
-# compound row over row.
-_EXP_ROW_SWITCH = 0.15
-_PHI_SERIES_NORM = 0.5
 
 # Pade-13 coefficients b_0..b_13 and the largest 1-norm of X at which r_13(X)
 # meets e^X to unit roundoff (Higham, SIMAX 26, 2005).
@@ -219,68 +214,35 @@ def _require_same_order(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> None:
         raise InvalidDimension(f"order mismatch: {x.order} vs {y.order}")
 
 
-def _require_distinct(m: MatryoshkanMatrix) -> None:
-    pairs = m.coincident_pairs()
-    if pairs:
-        raise DegenerateSpectrum(pairs)
+def _pade_exp(B: np.ndarray) -> np.ndarray:
+    """e^B for a lower-triangular B by Pade-13 scaling and squaring.
 
-
-def _solve_shifted_from_right(block: np.ndarray, shift: float, w: np.ndarray) -> np.ndarray:
-    """Solve r (B - shift I) = w by substitution; B is lower triangular.
-
-    Column j of the system only involves r[j:], so the components resolve
-    from the last index backwards in O(k^2).
+    B is scaled by 2^{-s} under theta_13, the lower-triangular Pade
+    denominator is solved index-reversed (upper triangular, so partial
+    pivoting never swaps a row), and the diagonal is reset to the exact
+    e^{b_kk tau} after each squaring (Al-Mohy & Higham, SIMAX 31, 2009).
+    Powers of two keep the scaling exact.  Entries that leave the double
+    range come back non-finite.
     """
-    k = w.shape[0]
-    r = np.empty(k)
-    for j in range(k - 1, -1, -1):
-        r[j] = (w[j] - np.dot(r[j + 1 :], block[j + 1 :, j])) / (block[j, j] - shift)
-    return r
-
-
-def _phi1(X: np.ndarray) -> np.ndarray:
-    """phi1(X) = X^{-1} (e^X - I), evaluated by Taylor series plus doubling.
-
-    Entire in X, so no resolvent is involved: scaling brings the norm under
-    _PHI_SERIES_NORM, the series runs to machine precision, and the doubling
-    phi1(2X) = phi1(X) (e^X + I) / 2 walks the scale back up.
-    """
-    k = X.shape[0]
-    norm = float(np.max(np.abs(X).sum(axis=1))) if k else 0.0
-    s = 0 if norm <= _PHI_SERIES_NORM else int(math.ceil(math.log2(norm / _PHI_SERIES_NORM)))
-    Y = X / (2.0**s)
-    eye = np.eye(k)
-    P = eye.copy()
-    term = eye.copy()
-    for j in range(1, 18):
-        term = term @ Y / (j + 1)
-        P += term
-    E = eye + Y @ P
-    for _ in range(s):
-        P = P @ (E + eye) / 2.0
-        E = E @ E
-    return P
-
-
-def _exp_trailing_row(
-    block: np.ndarray, diag: np.ndarray, row: np.ndarray, exp_block: np.ndarray,
-    d_i: float, ed_i: float, t: float,
-) -> np.ndarray:
-    """Trailing row m (A - d I)^{-1} (e^{A t} - e^{d t} I) of the exponential.
-
-    The resolvent commutes with the exponential of the block, so the default
-    path multiplies first and substitutes after.  When some diagonal of the
-    block sits within _EXP_ROW_SWITCH / |t| of d, that substitution cancels
-    badly and the row is evaluated as e^{d t} t * m phi1((A - d I) t), which
-    is the same expression with the divided differences summed stably.
-    """
-    i = row.shape[0]
-    gap = float(np.min(np.abs(diag[:i] - d_i)))
-    if gap * abs(t) >= _EXP_ROW_SWITCH:
-        w = row @ exp_block - ed_i * row
-        return _solve_shifted_from_right(block, d_i, w)
-    shifted = (block - d_i * np.eye(i)) * t
-    return (row @ _phi1(shifted)) * (t * ed_i)
+    norm = float(np.abs(B).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise Overflow("generator entries times t exceed the double-precision range")
+    s = 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
+    X = np.ldexp(B, -s)
+    b = _PADE13
+    eye = np.eye(B.shape[0])
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
+    R = np.linalg.solve((V - U)[::-1, ::-1], (V + U)[::-1])[::-1]
+    diag = np.diagonal(B)
+    idx = np.diag_indices(B.shape[0])
+    for i in range(s):
+        R = R @ R
+        R[idx] = np.exp(np.ldexp(diag, i + 1 - s))
+    return R
 
 
 def solve_lower(m: MatryoshkanMatrix, rhs, shift: float = 0.0) -> np.ndarray:
@@ -331,12 +293,17 @@ def add(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
 
 
 def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
-    """Triangular matrix product; the result is again lower triangular."""
+    """Triangular matrix product, row by row from the leading blocks.
+
+    Row i is x_i times the leading (i+1)-block of y, with shapes that depend
+    on i alone, so the product nests bit for bit; one dense BLAS product of
+    the whole matrices does not, because its blocking depends on the order.
+    """
     _require_same_order(x, y)
-    prod = x.dense() @ y.dense()
-    n = x.order
-    packed = np.concatenate([prod[i, : i + 1] for i in range(n)])
-    return MatryoshkanMatrix(n, packed)
+    X = x.dense()
+    Y = y.dense()
+    packed = np.concatenate([X[i, : i + 1] @ Y[: i + 1, : i + 1] for i in range(x.order)])
+    return MatryoshkanMatrix(x.order, packed)
 
 
 def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -361,65 +328,57 @@ def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
 
 
 def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
-    """Integer power via the resolvent identity on each trailing row.
+    """Integer power M^k by binary powering over ``multiply``.
 
-    The trailing row of M^k is m_n (M_{n-1} - d_n I)^{-1} (M_{n-1}^k - d_n^k I);
-    since the resolvent commutes with any polynomial in the block, the row
-    is computed by one vector-matrix product and one substitution.  Requires
-    a distinct spectrum for k >= 2; k = 0 and k = 1 are returned directly.
+    Every product is row-nested, so the power is too; repeated diagonals
+    need no special care.
+
+    Raises:
+        InvalidDimension: k is negative.
+        Overflow: an entry left the double-precision range.
     """
     if k < 0:
         raise InvalidDimension(f"exponent must be >= 0, got {k}")
     if k == 0:
         return MatryoshkanMatrix.identity(m.order)
-    if k == 1:
-        return MatryoshkanMatrix(m.order, m.packed)
-    _require_distinct(m)
-    d = m.diagonal()
-    dk = d.astype(np.float64) ** k
-    n = m.order
-    L = m.dense()
-    P = np.zeros((n, n))
-    P[0, 0] = dk[0]
-    for i in range(1, n):
-        row = L[i, :i]
-        w = row @ P[:i, :i] - dk[i] * row
-        P[i, :i] = _solve_shifted_from_right(L[:i, :i], d[i], w)
-        P[i, i] = dk[i]
-    if not np.all(np.isfinite(P)):
-        raise Overflow(f"power {k} exceeded the double-precision range")
-    return MatryoshkanMatrix.from_dense(P)
+    result = None
+    base = m
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if k & 1:
+                result = base if result is None else multiply(result, base)
+            k >>= 1
+            if not k:
+                break
+            base = multiply(base, base)
+    if not np.all(np.isfinite(result.packed)):
+        raise Overflow("matrix power exceeded the double-precision range")
+    return result
 
 
 def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
-    """Matrix exponential e^{M t} via the trailing-row block recursion.
+    """Matrix exponential e^{M t}, one row per leading block.
 
-    The trailing row of e^{M_n t} is
-    m_n (M_{n-1} - d_n I)^{-1} (e^{M_{n-1} t} - e^{d_n t} I), and the diagonal
-    is (e^{d_1 t}, ..., e^{d_n t}).  The resolvent is applied by triangular
-    substitution, never by forming an explicit inverse.  Requires a distinct
-    spectrum.
+    Row i is row i of the Pade-13 exponential of the leading (i+1)-block of
+    M t, so it depends on that block alone and the result nests bit for
+    bit; the diagonal is the exact (e^{d_1 t}, ..., e^{d_n t}).  Repeated
+    diagonals need no special care.  Row i costs one dense (i+1)-order
+    exponential, O(n^4 / 4) in all.
 
     Raises:
-        DegenerateSpectrum: diagonal entries closer than DISTINCT_RTOL allows.
-        Overflow: a scalar exponential left the double-precision range.
+        InvalidInput: t is not finite.
+        Overflow: an entry left the double-precision range.
     """
-    _require_distinct(m)
-    d = m.diagonal()
     t = float(t)
-    args = d * t
-    if np.any(args > _EXP_ARG_MAX):
-        raise Overflow(f"exp argument {args.max():.6g} exceeds the scalar range")
-    ed = np.exp(args)
+    if not math.isfinite(t):
+        raise InvalidInput(f"t must be finite, got {t}")
     n = m.order
     L = m.dense()
     E = np.zeros((n, n))
-    E[0, 0] = ed[0]
-    for i in range(1, n):
-        E[i, :i] = _exp_trailing_row(
-            L[:i, :i], d, L[i, :i], E[:i, :i], d[i], ed[i], t
-        )
-        E[i, i] = ed[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            E[i, : i + 1] = _pade_exp(L[: i + 1, : i + 1] * t)[i]
+        E[np.diag_indices(n)] = np.exp(m.diagonal() * t)
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
     return MatryoshkanMatrix.from_dense(E)
@@ -460,14 +419,10 @@ def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: f
 
     s(t) is rows 1..n of e^{A t} [1; init] for the augmented generator
     A = [[0, 0], [shift, M]] (Van Loan, IEEE TAC 23, 1978), which needs no
-    resolvent and no distinct spectrum.  The exponential is graded Pade-13
-    scaling and squaring: the grading D = diag(2^e) makes every component of
-    D^{-1} e^{At} [1; init] of order one, B = D^{-1} A t D is scaled by 2^{-s}
-    under theta_13, the lower-triangular Pade denominator is solved
-    index-reversed (upper triangular, so partial pivoting never swaps a
-    row), and the diagonal is reset to the exact e^{a_kk tau} after each
-    squaring (Al-Mohy & Higham, SIMAX 31, 2009).  Powers of two keep the
-    grading and the scaling exact.
+    resolvent and no distinct spectrum.  The exponential is graded: the
+    grading D = diag(2^e) makes every component of D^{-1} e^{At} [1; init] of
+    order one, and ``_pade_exp`` exponentiates B = D^{-1} A t D.  Powers of
+    two keep the grading exact.
 
     Once every e^{d_k t} is below machine epsilon, the origin moves to the
     stationary point s_inf, so the flow carries only the small remainder
@@ -486,25 +441,7 @@ def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: f
         A[1:, 1:] = m.dense()
         v = np.concatenate(([1.0], init))
         e = _grading(A, v, t)
-        B = np.ldexp(A * t, e[None, :] - e[:, None])
-        norm = float(np.abs(B).sum(axis=0).max())
-        if not math.isfinite(norm):
-            raise Overflow("generator entries times t exceed the double-precision range")
-        s = 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
-        X = np.ldexp(B, -s)
-        b = _PADE13
-        eye = np.eye(n + 1)
-        X2 = X @ X
-        X4 = X2 @ X2
-        X6 = X4 @ X2
-        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
-        V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
-        R = np.linalg.solve((V - U)[::-1, ::-1], (V + U)[::-1])[::-1]
-        diag = np.diagonal(A) * t
-        idx = np.diag_indices(n + 1)
-        for i in range(s):
-            R = R @ R
-            R[idx] = np.exp(np.ldexp(diag, i + 1 - s))
+        R = _pade_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
         flow = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
         return flow if anchor is None else anchor + flow
 
@@ -515,9 +452,11 @@ def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
     Balancing row n of M U = U D gives m_n U_{n-1} = u_n (D_{n-1} - d_n I)
     for the trailing row u_n, so u_n = m_n U_{n-1} (D_{n-1} - d_n I)^{-1}
     with a 1 on the diagonal; the shifted diagonal inverts entrywise.
-    Requires a distinct spectrum.
+    Requires a distinct spectrum, since a repeated diagonal can be defective.
     """
-    _require_distinct(m)
+    pairs = m.coincident_pairs()
+    if pairs:
+        raise DegenerateSpectrum(pairs)
     d = m.diagonal()
     n = m.order
     L = m.dense()

@@ -27,7 +27,7 @@ class SingularMatrix(MatryoshkanError):
 
 
 class DegenerateSpectrum(MatryoshkanError):
-    """Two diagonal entries coincide, so the resolvent-based recursions fail.
+    """Two diagonal entries coincide, so the eigendecomposition fails.
 
     ``pairs`` lists the offending (i, j) 1-based diagonal positions.
     """
