@@ -1,5 +1,11 @@
 """Command-line interface: moments, steady states, benchmarks, simulation.
 
+Each process family is one entry of ``_FAMILIES``: its parameter record, the
+``--params`` keys it requires with the record field each fills, and the
+descriptor flags it reads.  ``x0`` is optional everywhere; generic's
+``a0..a9`` fill its coefficient tuple.  Whatever is omitted takes the
+record's own default.
+
 Documents go to standard output as JSON ({"metadata": ..., "payload": ...})
 or CSV with fixed schemas; diagnostics go to standard error.  Exit codes:
 0 success, 2 invalid parameters, 3 numerical failure (named in the message;
@@ -26,16 +32,24 @@ from .errors import (
     SingularMatrix,
 )
 
-_PROCESSES = ("hawkes", "shotnoise", "ito", "growthcollapse", "ephemeral", "generic")
-
-_PARAM_KEYS = {
-    "hawkes": ({"lambda-star", "alpha", "beta"}, {"x0"}),
-    "shotnoise": ({"lambda", "beta"}, {"x0"}),
-    "ito": ({"mu", "theta", "sigma", "gamma"}, {"x0"}),
-    "growthcollapse": ({"lambda", "mu"}, {"x0"}),
-    "ephemeral": ({"nu-star", "alpha", "mu"}, {"x0"}),
-    "generic": (set(), {f"a{i}" for i in range(10)} | {"x0"}),
+# --process name -> (parameter record, required --params key -> record field,
+# descriptor flag -> record field).
+_FAMILIES = {
+    "hawkes": (processes.HawkesSpec,
+               {"lambda-star": "lambda_star", "alpha": "alpha", "beta": "beta"}, {}),
+    "shotnoise": (processes.ShotNoiseSpec,
+                  {"lambda": "rate", "beta": "decay"}, {"--jumps": "jumps"}),
+    "ito": (processes.ItoSpec,
+            {"mu": "mu", "theta": "theta", "sigma": "sigma", "gamma": "gamma"}, {}),
+    "growthcollapse": (processes.GrowthCollapseSpec,
+                       {"lambda": "growth", "mu": "collapse_rate"}, {"--collapse": "collapse"}),
+    "ephemeral": (processes.EphemeralSpec,
+                  {"nu-star": "baseline", "alpha": "jump", "mu": "expiry"}, {}),
+    "generic": (processes.GenericGeneratorSpec,
+                {}, {"--jumps-A": "up", "--jumps-B": "down", "--jumps-C": "collapse"}),
 }
+_DESCRIPTOR_FLAGS = [flag for _, _, flags in _FAMILIES.values() for flag in flags]
+_BENCH_COLUMNS = ["method", "delta", "run_time_seconds", "abs_error", "rel_error"]
 
 
 class _CLIError(Exception):
@@ -72,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_time):
-        p.add_argument("--process", required=True, choices=_PROCESSES)
+        p.add_argument("--process", required=True, choices=_FAMILIES)
         p.add_argument(
             "--params",
             required=True,
@@ -146,97 +160,64 @@ def _parse_descriptor(flag: str, text: str) -> processes.JumpMoments:
             return processes.LogNormalJumps(values[0], values[1])
         if name == "explicit" and values:
             return processes.ExplicitJumps(tuple(values))
+    except InvalidInput as exc:  # a subclass of ValueError, so it goes first
+        raise _CLIError(f"{flag}: {exc}")
     except ValueError:
         raise _CLIError(f"{flag}: malformed descriptor '{text}'")
-    except InvalidInput as exc:
-        raise _CLIError(f"{flag}: {exc}")
     raise _CLIError(
         f"{flag}: unknown descriptor '{text}' (expected deterministic:c, "
         "exponential:r, lognormal:m,s, uniform, or explicit:m1,m2,...)"
     )
 
 
-def _make_spec(args) -> processes.ProcessSpec:
-    params = _parse_params(args.params)
-    required, optional = _PARAM_KEYS[args.process]
+def _flag_value(args, flag: str) -> str | None:
+    return getattr(args, flag[2:].lower().replace("-", "_"))
+
+
+def _make_spec(args, params: dict[str, float]) -> processes.ProcessSpec:
+    record, keys, descriptors = _FAMILIES[args.process]
+    coeff_keys = [f"a{i}" for i in range(10)] if args.process == "generic" else []
     for key in params:
-        if key not in required and key not in optional:
+        if key not in keys and key != "x0" and key not in coeff_keys:
             raise _CLIError(
                 f"--params: unknown key '{key}' for process {args.process}"
             )
-    missing = sorted(required - params.keys())
+    missing = sorted(keys.keys() - params.keys())
     if missing:
         raise _CLIError(f"--params: missing key(s) {missing} for {args.process}")
+    if args.process == "shotnoise" and not args.jumps:
+        raise _CLIError("--jumps is required for shotnoise")
 
+    fields = {field: params[key] for key, field in keys.items()}
+    if "x0" in params:
+        fields["x0"] = params["x0"]
+    if coeff_keys:
+        fields["coeffs"] = tuple(params.get(key, 0.0) for key in coeff_keys)
+    for flag, field in descriptors.items():
+        text = _flag_value(args, flag)
+        if text:
+            fields[field] = _parse_descriptor(flag, text)
     try:
-        if args.process == "hawkes":
-            return processes.HawkesSpec(
-                lambda_star=params["lambda-star"],
-                alpha=params["alpha"],
-                beta=params["beta"],
-                x0=params.get("x0"),
-            )
-        if args.process == "shotnoise":
-            if not args.jumps:
-                raise _CLIError("--jumps is required for shotnoise")
-            return processes.ShotNoiseSpec(
-                rate=params["lambda"],
-                decay=params["beta"],
-                jumps=_parse_descriptor("--jumps", args.jumps),
-                x0=params.get("x0", 0.0),
-            )
-        if args.process == "ito":
-            return processes.ItoSpec(
-                mu=params["mu"],
-                theta=params["theta"],
-                sigma=params["sigma"],
-                gamma=params["gamma"],
-                x0=params.get("x0", 0.0),
-            )
-        if args.process == "growthcollapse":
-            collapse = (
-                _parse_descriptor("--collapse", args.collapse)
-                if args.collapse
-                else processes.UniformJumps()
-            )
-            return processes.GrowthCollapseSpec(
-                growth=params["lambda"],
-                collapse_rate=params["mu"],
-                x0=params.get("x0", 0.0),
-                collapse=collapse,
-            )
-        if args.process == "ephemeral":
-            return processes.EphemeralSpec(
-                baseline=params["nu-star"],
-                jump=params["alpha"],
-                expiry=params["mu"],
-                x0=params.get("x0", 0),
-            )
-        coeffs = tuple(params.get(f"a{i}", 0.0) for i in range(10))
-        return processes.GenericGeneratorSpec(
-            coeffs=coeffs,
-            up=_parse_descriptor("--jumps-A", args.jumps_a) if args.jumps_a else None,
-            down=_parse_descriptor("--jumps-B", args.jumps_b) if args.jumps_b else None,
-            collapse=_parse_descriptor("--jumps-C", args.jumps_c) if args.jumps_c else None,
-            x0=params.get("x0", 0.0),
-        )
+        return record(**fields)
     except InvalidInput as exc:
         raise _CLIError(f"--params: {exc}")
 
 
-def _metadata(args, extra: dict) -> dict:
+def _metadata(args, params: dict[str, float], extra: dict) -> dict:
     meta = {
         "tool": "matryoshkan",
         "version": __version__,
         "command": args.command,
         "process": args.process,
-        "params": _parse_params(args.params),
+        "params": params,
         "order": args.order,
     }
-    for flag in ("jumps", "collapse", "jumps_a", "jumps_b", "jumps_c"):
-        value = getattr(args, flag, None)
+    for flag in _DESCRIPTOR_FLAGS:
+        value = _flag_value(args, flag)
         if value:
-            meta[flag.replace("_", "-")] = value
+            meta[flag[2:].lower()] = value
+    # Echo --time as given (so -0 stays -0.0); steady runs have no --time.
+    meta["time"] = getattr(args, "time", engine.STATIONARY)
     meta.update(extra)
     return meta
 
@@ -247,28 +228,22 @@ def _metadata(args, extra: dict) -> dict:
 def _dispatch(args) -> str:
     if args.order < 1:
         raise _CLIError(f"--order must be >= 1, got {args.order}")
-    spec = _make_spec(args)
+    params = _parse_params(args.params)
+    spec = _make_spec(args, params)
 
-    if args.command == "moments":
-        system, init = processes.build(spec, args.order)
-        result = engine.transient_vector(system, init, args.time)
+    if args.command == "simulate":
+        if args.paths < 1:
+            raise _CLIError(f"--paths must be >= 1, got {args.paths}")
+        cfg = mc.SimConfig(
+            paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
+        )
+        terminals = mc.simulate(spec, cfg)
+        estimates = mc.estimate_moments(terminals, args.order)
         payload = [
-            {"order": k + 1, "value": float(v)} for k, v in enumerate(result.values)
+            {"order": e.order, "estimate": e.mean, "std_error": e.std_error}
+            for e in estimates
         ]
-        doc = {"metadata": _metadata(args, {"time": args.time}), "payload": payload}
-        if args.format == "csv":
-            return _csv(["order", "value"], [[p["order"], p["value"]] for p in payload])
-
-    elif args.command == "steady":
-        system, _ = processes.build(spec, args.order)
-        result = engine.steady_vector(system)
-        payload = [
-            {"order": k + 1, "value": float(v)} for k, v in enumerate(result.values)
-        ]
-        doc = {"metadata": _metadata(args, {"time": "stationary"}), "payload": payload}
-        if args.format == "csv":
-            return _csv(["order", "value"], [[p["order"], p["value"]] for p in payload])
-
+        extra = {"paths": args.paths, "seed": args.seed, "sim_step": args.sim_step}
     elif args.command == "bench":
         deltas = _parse_deltas(args.deltas)
         if args.trials < 1:
@@ -288,49 +263,24 @@ def _dispatch(args) -> str:
             }
             for r in records
         ]
-        meta = _metadata(
-            args, {"time": args.time, "deltas": deltas, "trials": args.trials}
-        )
-        doc = {"metadata": meta, "payload": payload}
-        if args.format == "csv":
-            rows = [
-                [r.method, r.delta, r.run_time_seconds, r.abs_error, r.rel_error]
-                for r in records
-            ]
-            return _csv(
-                ["method", "delta", "run_time_seconds", "abs_error", "rel_error"], rows
-            )
-        if args.format == "table":
-            return _table(records)
-
-    else:  # simulate
-        if args.paths < 1:
-            raise _CLIError(f"--paths must be >= 1, got {args.paths}")
-        cfg = mc.SimConfig(
-            paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
-        )
-        terminals = mc.simulate(spec, cfg)
-        estimates = mc.estimate_moments(terminals, args.order)
+        extra = {"deltas": deltas, "trials": args.trials}
+    else:
+        system, init = processes.build(spec, args.order)
+        if args.command == "moments":
+            result = engine.transient_vector(system, init, args.time)
+        else:
+            result = engine.steady_vector(system)
         payload = [
-            {"order": e.order, "estimate": e.mean, "std_error": e.std_error}
-            for e in estimates
+            {"order": k + 1, "value": float(v)} for k, v in enumerate(result.values)
         ]
-        meta = _metadata(
-            args,
-            {
-                "time": args.time,
-                "paths": args.paths,
-                "seed": args.seed,
-                "sim_step": args.sim_step,
-            },
-        )
-        doc = {"metadata": meta, "payload": payload}
-        if args.format == "csv":
-            return _csv(
-                ["order", "estimate", "std_error"],
-                [[p["order"], p["estimate"], p["std_error"]] for p in payload],
-            )
+        extra = {}
 
+    if args.format == "table":
+        return _table(payload)
+    if args.format == "csv":
+        columns = _BENCH_COLUMNS if args.command == "bench" else list(payload[0])
+        return _csv(columns, payload)
+    doc = {"metadata": _metadata(args, params, extra), "payload": payload}
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
@@ -358,28 +308,27 @@ def _num(value) -> str:
     return str(value)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_num(v) for v in row))
+def _csv(columns: list[str], payload: list[dict]) -> str:
+    lines = [",".join(columns)]
+    for row in payload:
+        lines.append(",".join(_num(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
-def _table(records) -> str:
-    headers = ["method", "delta", "run_time_seconds", "abs_error", "rel_error"]
+def _table(payload: list[dict]) -> str:
     body = []
-    for r in records:
+    for r in payload:
         body.append(
             [
-                r.method,
-                "-" if r.delta is None else f"{r.delta:.1e}",
-                f"{r.run_time_seconds:.1e}",
-                f"{r.abs_error:.1e}",
-                "-" if r.rel_error is None else f"{r.rel_error:.1e}",
+                r["method"],
+                "-" if r["delta"] is None else f"{r['delta']:.1e}",
+                f"{r['run_time_seconds']:.1e}",
+                f"{r['abs_error']:.1e}",
+                "-" if r["rel_error"] is None else f"{r['rel_error']:.1e}",
             ]
         )
-    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
+    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(_BENCH_COLUMNS)]
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(_BENCH_COLUMNS))]
     for row in body:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines) + "\n"

@@ -175,10 +175,6 @@ class MatryoshkanMatrix:
         return MatryoshkanMatrix(k, self._data[: _packed_size(k)])
 
     @property
-    def is_invertible(self) -> bool:
-        return bool(np.all(self.diagonal() != 0.0))
-
-    @property
     def has_distinct_spectrum(self) -> bool:
         return not self.coincident_pairs()
 
@@ -245,8 +241,8 @@ def _pade_exp(B: np.ndarray) -> np.ndarray:
     return R
 
 
-def solve_lower(m: MatryoshkanMatrix, rhs, shift: float = 0.0) -> np.ndarray:
-    """Solve (M - shift I) x = rhs by forward substitution."""
+def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
+    """Solve M x = rhs by forward substitution."""
     b = np.asarray(rhs, dtype=np.float64).reshape(-1)
     if b.shape[0] != m.order:
         raise InvalidDimension(f"rhs length {b.shape[0]} != order {m.order}")
@@ -254,10 +250,9 @@ def solve_lower(m: MatryoshkanMatrix, rhs, shift: float = 0.0) -> np.ndarray:
     d = m.diagonal()
     x = np.empty(m.order)
     for i in range(m.order):
-        piv = d[i] - shift
-        if piv == 0.0:
+        if d[i] == 0.0:
             raise SingularMatrix(i + 1)
-        x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / piv
+        x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / d[i]
     return x
 
 

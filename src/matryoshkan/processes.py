@@ -113,9 +113,6 @@ class JumpMoments:
     def sample(self, rng: np.random.Generator, size=None):
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DeterministicJumps(JumpMoments):
@@ -139,9 +136,6 @@ class DeterministicJumps(JumpMoments):
             return float(self.size)
         return np.full(size, float(self.size))
 
-    def describe(self) -> str:
-        return f"deterministic({self.size!r})"
-
 
 @dataclass(frozen=True)
 class ExponentialJumps(JumpMoments):
@@ -159,9 +153,6 @@ class ExponentialJumps(JumpMoments):
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
-
-    def describe(self) -> str:
-        return f"exponential({self.rate!r})"
 
 
 @dataclass(frozen=True)
@@ -186,9 +177,6 @@ class LogNormalJumps(JumpMoments):
     def sample(self, rng, size=None):
         return rng.lognormal(self.location, self.scale, size)
 
-    def describe(self) -> str:
-        return f"lognormal({self.location!r},{self.scale!r})"
-
 
 @dataclass(frozen=True)
 class UniformJumps(JumpMoments):
@@ -199,9 +187,6 @@ class UniformJumps(JumpMoments):
 
     def sample(self, rng, size=None):
         return rng.random(size)
-
-    def describe(self) -> str:
-        return "uniform"
 
 
 @dataclass(frozen=True)
@@ -245,9 +230,6 @@ class ExplicitJumps(JumpMoments):
                 f"order {k} requested"
             )
         return self.values[k - 1]
-
-    def describe(self) -> str:
-        return "explicit(" + ",".join(repr(v) for v in self.values) + ")"
 
 
 # -- parameter records ------------------------------------------------------

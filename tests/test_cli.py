@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matryoshkan as mk
 from matryoshkan import cli
+
+SRC = Path(mk.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -15,6 +21,59 @@ def run(capsys, *argv):
 
 
 HAWKES = ["--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2,x0=1"]
+
+
+# Every family with a non-default x0 and each of its descriptor flags, next
+# to the record built directly from the library.
+FAMILY_CASES = {
+    "hawkes": (
+        ["--params", "lambda-star=1,alpha=1,beta=2,x0=1.5"],
+        mk.HawkesSpec(1.0, 1.0, 2.0, x0=1.5),
+    ),
+    "shotnoise": (
+        ["--params", "lambda=1,beta=4,x0=0.5", "--jumps", "exponential:2"],
+        mk.ShotNoiseSpec(1.0, 4.0, mk.ExponentialJumps(2.0), x0=0.5),
+    ),
+    "ito": (
+        ["--params", "mu=1,theta=-1,sigma=0.5,gamma=1,x0=2"],
+        mk.ItoSpec(1.0, -1.0, 0.5, 1.0, x0=2.0),
+    ),
+    "growthcollapse": (
+        ["--params", "lambda=1,mu=0.5,x0=1", "--collapse", "deterministic:0.5"],
+        mk.GrowthCollapseSpec(1.0, 0.5, x0=1.0, collapse=mk.DeterministicJumps(0.5)),
+    ),
+    "ephemeral": (
+        ["--params", "nu-star=1,alpha=2,mu=3,x0=2"],
+        mk.EphemeralSpec(1.0, 2.0, 3.0, x0=2),
+    ),
+    "generic": (
+        [
+            "--params", "a0=1,a2=0.5,a3=1,a5=-4,a9=0.5,x0=0.1",
+            "--jumps-A", "lognormal:0,0.5",
+            "--jumps-B", "deterministic:0.2",
+            "--jumps-C", "uniform",
+        ],
+        mk.GenericGeneratorSpec(
+            coeffs=(1.0, 0.0, 0.5, 1.0, 0.0, -4.0, 0.0, 0.0, 0.0, 0.5),
+            up=mk.LogNormalJumps(0.0, 0.5),
+            down=mk.DeterministicJumps(0.2),
+            collapse=mk.UniformJumps(),
+            x0=0.1,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_CASES)
+def test_every_family_matches_library(capsys, family):
+    flags, spec = FAMILY_CASES[family]
+    code, out, err = run(
+        capsys, "moments", "--process", family, *flags, "--order", "4", "--time", "1.5"
+    )
+    assert code == 0 and err == ""
+    system, init = mk.build(spec, 4)
+    expected = mk.transient_vector(system, init, 1.5).values
+    assert [p["value"] for p in json.loads(out)["payload"]] == list(expected)
 
 
 def test_moments_csv_at_time_zero(capsys):
@@ -198,6 +257,19 @@ def test_exit_code_2_on_parameter_errors(capsys):
     for bad in ("nan", "inf", "-inf"):
         code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", f"lambda-star={bad},alpha=1,beta=2", "--order", "1", "--time", "1")
         assert code == 2 and "lambda-star" in err and "finite" in err
+    # a descriptor the record rejects reports the record's reason
+    code, _, err = run(capsys, "moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", "exponential:-1", "--order", "1", "--time", "1")
+    assert code == 2 and err == "error: --jumps: exponential rate must be > 0, got -1.0\n"
+    code, _, err = run(capsys, "moments", *HAWKES, "--order", "0", "--time", "1")
+    assert code == 2 and "--order" in err
+    code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2", "--trials", "0")
+    assert code == 2 and "--trials" in err
+    code, _, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "0", "--seed", "1")
+    assert code == 2 and "--paths" in err
+    code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", "lambda-star,alpha=1,beta=2", "--order", "1", "--time", "1")
+    assert code == 2 and "expected key=value" in err
+    code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
+    assert code == 2 and "--deltas" in err and "not a list of numbers" in err
 
 
 def test_ephemeral_fractional_initial_count_is_rejected(capsys):
@@ -280,6 +352,20 @@ def test_bench_rejects_non_finite_deltas(capsys):
             capsys, "bench", *HAWKES, "--order", "3", "--time", "1", "--deltas", f"1e-2,{bad}"
         )
         assert code == 2 and out == "" and "--deltas" in err and bad in err
+
+
+def test_module_entry_point_matches_main(capsys):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    for argv, expected_code in (
+        (["moments", *HAWKES, "--order", "3", "--time", "1.5", "--format", "json"], 0),
+        (["moments", *HAWKES, "--order", "0", "--time", "1"], 2),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matryoshkan", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == expected_code
+        assert proc.stdout == out
 
 
 def test_help_exits_zero(capsys):

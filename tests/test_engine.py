@@ -85,6 +85,18 @@ def test_poisson_counting_moments():
     out = mk.transient_vector(system, init, 3.0).values
     assert out == pytest.approx([6.0, 42.0, 330.0], rel=1e-14)
 
+    # Skellam: unit up-jumps at rate 2 and unit down-jumps at the constant
+    # rate a2 = 1, so X_3 = Poisson(6) - Poisson(3)
+    spec = mk.GenericGeneratorSpec(
+        coeffs=(2.0, 0.0, 1.0) + (0.0,) * 7,
+        up=mk.DeterministicJumps(1.0),
+        down=mk.DeterministicJumps(1.0),
+    )
+    system, init = mk.build(spec, 3)
+    assert np.all(system.theta.diagonal() == 0.0)
+    out = mk.transient_vector(system, init, 3.0).values
+    assert out == pytest.approx([3.0, 18.0, 111.0], rel=1e-14)
+
 
 def test_brownian_motion_with_drift_moments():
     # X_t ~ N(mu t, sigma^2 t): E X = mu t, E X^2 = sigma^2 t + mu^2 t^2
