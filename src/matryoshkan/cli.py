@@ -2,12 +2,13 @@
 
 Each process family is one entry of ``_FAMILIES``: its parameter record, the
 ``--params`` keys it requires with the record field each fills, and the
-descriptor flags it reads.  ``x0`` is optional everywhere; generic's
-``a0..a9`` fill its coefficient tuple.  Whatever is omitted takes the
-record's own default.
+descriptor flags it reads; a descriptor flag of another family is an
+error.  ``x0`` is optional everywhere; generic's ``a0..a9`` fill its
+coefficient tuple.  Whatever is omitted takes the record's own default.
 
 Documents go to standard output as JSON ({"metadata": ..., "payload": ...})
-or CSV with fixed schemas; diagnostics go to standard error.  Exit codes:
+or CSV with fixed schemas; diagnostics go to standard error, one line per
+library warning or error.  Exit codes:
 0 success, 2 invalid parameters, 3 numerical failure (named in the message;
 in practice Overflow, when moments leave the double range).
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import __version__, engine, euler, mc, processes
 from .errors import (
@@ -64,7 +66,9 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        text = _dispatch(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            text = _dispatch(args)
     except _CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -76,6 +80,11 @@ def main(argv=None) -> int:
         return 2
     sys.stdout.write(text)
     return 0
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One stderr line per library warning, without its source location."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,6 +185,9 @@ def _flag_value(args, flag: str) -> str | None:
 
 def _make_spec(args, params: dict[str, float]) -> processes.ProcessSpec:
     record, keys, descriptors = _FAMILIES[args.process]
+    for flag in _DESCRIPTOR_FLAGS:
+        if flag not in descriptors and _flag_value(args, flag):
+            raise _CLIError(f"{flag} does not apply to process {args.process}")
     coeff_keys = [f"a{i}" for i in range(10)] if args.process == "generic" else []
     for key in params:
         if key not in keys and key != "x0" and key not in coeff_keys:

@@ -67,8 +67,30 @@ _LOG_EPS = math.log(np.finfo(np.float64).eps)
 _GRADE_EXP = 1000
 
 
+# Row and column of every packed entry: np.tril_indices(N) for the largest
+# order N asked for so far, whose first n(n+1)/2 pairs are np.tril_indices(n)
+# because packed storage is row-major.  One read-only buffer serves every
+# order and only grows.
+_TRIL = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
 def _packed_size(order: int) -> int:
     return order * (order + 1) // 2
+
+
+def _tril_indices(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(order), as a prefix of the shared buffer."""
+    global _TRIL
+    size = _packed_size(order)
+    # Read the buffer once: a concurrent call may swap in one of another
+    # size, which costs a later regrowth but never a short slice here.
+    rows, cols = _TRIL
+    if rows.shape[0] < size:
+        rows, cols = np.tril_indices(order)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        _TRIL = (rows, cols)
+    return rows[:size], cols[:size]
 
 
 class MatryoshkanMatrix:
@@ -129,8 +151,7 @@ class MatryoshkanMatrix:
         n = a.shape[0]
         if n >= 2 and np.any(a[np.triu_indices(n, k=1)] != 0.0):
             raise InvalidDimension("entries above the diagonal must be exactly zero")
-        packed = np.concatenate([a[i, : i + 1] for i in range(n)])
-        return cls(n, packed)
+        return cls(n, a[_tril_indices(n)])
 
     # -- accessors -------------------------------------------------------
 
@@ -144,10 +165,7 @@ class MatryoshkanMatrix:
         if self._dense is None:
             n = self.order
             out = np.zeros((n, n))
-            pos = 0
-            for i in range(n):
-                out[i, : i + 1] = self._data[pos : pos + i + 1]
-                pos += i + 1
+            out[_tril_indices(n)] = self._data
             out.setflags(write=False)
             object.__setattr__(self, "_dense", out)
         return self._dense

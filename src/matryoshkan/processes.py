@@ -11,12 +11,13 @@ moment ODE system plus the initial moment powers.  A new family is one more
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MatryoshkanMatrix
+from .core import MatryoshkanMatrix, _tril_indices
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     BinomialPrecisionWarning,
@@ -51,27 +52,57 @@ __all__ = [
 # C(57, 28) exceeds 2**53.
 _BINOM_EXACT_MAX = 56
 _BINOM_ROWS: list[np.ndarray] = [np.array([1.0])]
+_BINOM_LOCK = threading.Lock()
+# The entries C(k, 0..k-1) of rows k = 1, 2, ... packed row-major, in the
+# order of the matrix storage.  Order n reads the first n(n+1)/2 entries, so
+# one read-only buffer serves every order and only grows.
+_PASCAL_BUFFER = np.empty(0)
 
 
 def binomial_row(n: int) -> np.ndarray:
     """Row n of Pascal's triangle, C(n, 0..n), by the additive recurrence."""
     if n < 0:
         raise InvalidInput(f"binomial row index must be >= 0, got {n}")
-    if n > _BINOM_EXACT_MAX:
+    _warn_inexact_binomials(n)
+    _grow_binomial_rows(n)
+    return _BINOM_ROWS[n].copy()
+
+
+def _warn_inexact_binomials(row: int) -> None:
+    """Warn, at the caller of the public function, past row 56."""
+    if row > _BINOM_EXACT_MAX:
         warnings.warn(
             "binomial coefficients beyond row 56 are no longer exactly "
             "representable in double precision",
             BinomialPrecisionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    while len(_BINOM_ROWS) <= n:
-        prev = _BINOM_ROWS[-1]
-        row = np.empty(prev.shape[0] + 1)
-        row[0] = 1.0
-        row[-1] = 1.0
-        row[1:-1] = prev[:-1] + prev[1:]
-        _BINOM_ROWS.append(row)
-    return _BINOM_ROWS[n].copy()
+
+
+def _grow_binomial_rows(n: int) -> None:
+    with _BINOM_LOCK:  # each row is appended once, after the row it sums
+        while len(_BINOM_ROWS) <= n:
+            prev = _BINOM_ROWS[-1]
+            row = np.empty(prev.shape[0] + 1)
+            row[0] = 1.0
+            row[-1] = 1.0
+            row[1:-1] = prev[:-1] + prev[1:]
+            _BINOM_ROWS.append(row)
+
+
+def _pascal_packed(n: int) -> np.ndarray:
+    """Packed C(k, j) for 1 <= k <= n, j < k: a prefix of the shared buffer."""
+    global _PASCAL_BUFFER
+    size = n * (n + 1) // 2
+    # Read the buffer once: a concurrent call may swap in one of another
+    # size, which costs a later regrowth but never a short slice here.
+    pascal = _PASCAL_BUFFER
+    if pascal.shape[0] < size:
+        _grow_binomial_rows(n)
+        pascal = np.concatenate([_BINOM_ROWS[k][:k] for k in range(1, n + 1)])
+        pascal.setflags(write=False)
+        _PASCAL_BUFFER = pascal
+    return pascal[:size]
 
 
 def _require_finite(record) -> None:
@@ -439,13 +470,10 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     terms contribute to the moment system."""
     if n < 1:
         raise InvalidInput(f"order must be >= 1, got {n}")
-    a = float(a)
-    packed = []
-    for i in range(1, n + 1):
-        b = binomial_row(i)
-        powers = np.power(a, np.arange(i, 0, -1, dtype=np.float64))
-        packed.append(b[:i] * powers)
-    return MatryoshkanMatrix(n, np.concatenate(packed))
+    _warn_inexact_binomials(n)
+    rows, cols = _tril_indices(n)
+    gap = (rows + 1 - cols).astype(np.float64)
+    return MatryoshkanMatrix(n, _pascal_packed(n) * np.power(float(a), gap))
 
 
 def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
@@ -474,6 +502,12 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     Jump terms expand by the binomial theorem; drift and diffusion act on
     the first and second derivative of x^k; collapse scales x^k by
     E[C^k] - 1.  Closure is automatic: nothing produces a power above k.
+
+    The whole triangle is assembled at once, in an (n, n+1) array whose row
+    k - 1 holds the coefficients of x^0..x^k in the generator applied to
+    x^k: column 0 is the shift and columns 1..k are row k of the matrix.
+    Terms are added in the order a0, ..., a9, each product formed as
+    a * C * E, so every entry is the same sum as when built row by row.
     """
     if not isinstance(spec, ProcessSpec):
         raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
@@ -493,43 +527,50 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     eb = spec.down.moments_from_zero(n) if need_down else None
     ec = spec.collapse.moments(n) if need_collapse else None
 
-    rows = []
-    theta0 = np.zeros(n)
-    for k in range(1, n + 1):
-        kf = float(k)
-        coef = np.zeros(k + 1)
-        if need_up or need_down:
-            b = binomial_row(k)[:k]
-        if need_up:
-            up = ea[k:0:-1]
-            if a[0] != 0.0:
-                coef[:k] += a[0] * b * up
-            if a[1] != 0.0:
-                coef[1:] += a[1] * b * up
-        if need_down:
-            dn = eb[k:0:-1]
-            sign = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)
-            if a[2] != 0.0:
-                coef[:k] += a[2] * b * dn * sign
-            if a[3] != 0.0:
-                coef[1:] += a[3] * b * dn * sign
-        if a[4] != 0.0:
-            coef[k - 1] += a[4] * kf
-        if a[5] != 0.0:
-            coef[k] += a[5] * kf
-        if k >= 2:
-            kk1 = float(k * (k - 1))
-            if a[6] != 0.0:
-                coef[k - 2] += a[6] * kk1
-            if a[7] != 0.0:
-                coef[k - 1] += a[7] * kk1
-            if a[8] != 0.0:
-                coef[k] += a[8] * kk1
-        if need_collapse:
-            coef[k] += a[9] * (ec[k - 1] - 1.0)
-        theta0[k - 1] = coef[0]
-        rows.append(coef[1:])
-    system = CoefficientSystem(MatryoshkanMatrix(n, np.concatenate(rows)), theta0)
+    rows, cols = _tril_indices(n)
+    coef = np.zeros((n, n + 1))
+    flat = coef.reshape(-1)
+    # Entry C(k, j) of row k multiplies x^j (rates a0, a2) or x^(j+1)
+    # (rates a1, a3): flat positions at_j and at_j + 1 of the coefficients.
+    at_j = rows * (n + 1) + cols
+    if need_up or need_down:
+        _warn_inexact_binomials(n)
+        pascal = _pascal_packed(n)
+        gap = rows + 1 - cols  # k - j, the power of the jump size
+    if need_up:
+        up = ea[gap]
+        if a[0] != 0.0:
+            flat[at_j] += a[0] * pascal * up
+        if a[1] != 0.0:
+            flat[at_j + 1] += a[1] * pascal * up
+    if need_down:
+        # a down-jump contributes (-J)^(k-j); negation is exact, so folding
+        # the sign into E gives the same bits as applying it after a * C * E
+        dn = np.where(np.arange(n + 1) % 2 == 0, eb, -eb)[gap]
+        if a[2] != 0.0:
+            flat[at_j] += a[2] * pascal * dn
+        if a[3] != 0.0:
+            flat[at_j + 1] += a[3] * pascal * dn
+
+    # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
+    # the last)
+    x_k, x_k1, x_k2 = flat[1 :: n + 2], flat[:: n + 2], flat[n + 1 :: n + 2]
+    k = np.arange(1.0, n + 1.0)
+    kk1 = k[1:] * (k[1:] - 1.0)
+    if a[4] != 0.0:
+        x_k1 += a[4] * k
+    if a[5] != 0.0:
+        x_k += a[5] * k
+    if a[6] != 0.0:
+        x_k2 += a[6] * kk1
+    if a[7] != 0.0:
+        x_k1[1:] += a[7] * kk1
+    if a[8] != 0.0:
+        x_k[1:] += a[8] * kk1
+    if need_collapse:
+        x_k += a[9] * (ec - 1.0)
+
+    system = CoefficientSystem(MatryoshkanMatrix(n, flat[at_j + 1]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 

@@ -3,8 +3,10 @@
 These are the closed-form rows each family's generator gives, written out
 directly instead of through the generic generator.  The library builds every
 family through `matryoshkan.build`; the tests compare its output against
-these functions, so the equivalence check is not a tautology.  This module
-holds no tests.
+these functions, so the equivalence check is not a tautology.
+`reference_generic_build` applies any generic generator row by row, one
+Python loop iteration per moment order, as the library once did.  This
+module holds no tests.
 """
 
 import numpy as np
@@ -163,6 +165,64 @@ BUILDERS = {
     "GrowthCollapseSpec": build_growth_collapse,
     "EphemeralSpec": build_ephemeral,
 }
+
+
+def reference_generic_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
+    """The generic generator applied to x^k one row at a time.
+
+    Row k starts from zeros and adds, in the order a0, ..., a9, the
+    binomial jump terms C(k, j) E[J^(k-j)] (signed (-1)^(k-j) for
+    down-jumps), drift k x^(k-1), diffusion k(k-1) x^(k-2) and collapse
+    E[C^k] - 1.
+    """
+    _check_order(n)
+    spec = spec.generator()
+    a = spec.coeffs
+    need_up = a[0] != 0.0 or a[1] != 0.0
+    need_down = a[2] != 0.0 or a[3] != 0.0
+    need_collapse = a[9] != 0.0
+    ea = spec.up.moments_from_zero(n) if need_up else None
+    eb = spec.down.moments_from_zero(n) if need_down else None
+    ec = spec.collapse.moments(n) if need_collapse else None
+
+    rows = []
+    theta0 = np.zeros(n)
+    for k in range(1, n + 1):
+        kf = float(k)
+        coef = np.zeros(k + 1)
+        if need_up or need_down:
+            b = binomial_row(k)[:k]
+        if need_up:
+            up = ea[k:0:-1]
+            if a[0] != 0.0:
+                coef[:k] += a[0] * b * up
+            if a[1] != 0.0:
+                coef[1:] += a[1] * b * up
+        if need_down:
+            dn = eb[k:0:-1]
+            sign = np.where((k - np.arange(k)) % 2 == 0, 1.0, -1.0)
+            if a[2] != 0.0:
+                coef[:k] += a[2] * b * dn * sign
+            if a[3] != 0.0:
+                coef[1:] += a[3] * b * dn * sign
+        if a[4] != 0.0:
+            coef[k - 1] += a[4] * kf
+        if a[5] != 0.0:
+            coef[k] += a[5] * kf
+        if k >= 2:
+            kk1 = float(k * (k - 1))
+            if a[6] != 0.0:
+                coef[k - 2] += a[6] * kk1
+            if a[7] != 0.0:
+                coef[k - 1] += a[7] * kk1
+            if a[8] != 0.0:
+                coef[k] += a[8] * kk1
+        if need_collapse:
+            coef[k] += a[9] * (ec[k - 1] - 1.0)
+        theta0[k - 1] = coef[0]
+        rows.append(coef[1:])
+    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    return system, InitialMomentVector.from_state(spec.x0, n)
 
 
 def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:

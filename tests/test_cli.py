@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,54 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
     assert code == 2 and "--deltas" in err and "not a list of numbers" in err
+
+
+FOREIGN_FLAGS = [
+    (family, flag)
+    for family, (_, _, descriptors) in cli._FAMILIES.items()
+    for flag in ("--jumps", "--collapse", "--jumps-A", "--jumps-B", "--jumps-C")
+    if flag not in descriptors
+]
+
+
+@pytest.mark.parametrize("family,flag", FOREIGN_FLAGS)
+def test_descriptor_flag_of_another_family_is_rejected(capsys, family, flag):
+    flags, _ = FAMILY_CASES[family]
+    code, out, err = run(
+        capsys, "moments", "--process", family, *flags, flag, "uniform", "--order", "2", "--time", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} does not apply to process {family}\n"
+
+
+WARNING_CASES = {
+    "EstimatePrecisionWarning": [
+        "simulate", "--process", "shotnoise", "--params", "lambda=1,beta=4",
+        "--jumps", "exponential:2", "--order", "2", "--time", "1", "--paths", "20", "--seed", "1",
+    ],
+    "BinomialPrecisionWarning": [
+        "moments", "--process", "ephemeral", "--params", "nu-star=1,alpha=2,mu=3",
+        "--order", "60", "--time", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("category", sorted(WARNING_CASES))
+def test_library_warning_is_one_stderr_line(capsys, category):
+    argv = WARNING_CASES[category]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matryoshkan", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, out, err = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and proc.stderr == err
+    lines = err.splitlines()
+    assert lines and all(line.startswith(f"warning: {category}: ") for line in lines)
+    assert "cli.py" not in err and str(SRC) not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(capsys, *argv)[1] == out
 
 
 def test_ephemeral_fractional_initial_count_is_rejected(capsys):

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,7 +18,7 @@ from matryoshkan.errors import (
 )
 
 from conftest import FIXTURES
-from reference_builders import reference_build, systems_equal
+from reference_builders import reference_build, reference_generic_build, systems_equal
 
 
 # -- binomial rows and Pascal matrices ----------------------------------------
@@ -353,6 +355,149 @@ def test_build_without_jumps_does_not_warn_on_binomials():
         warnings.simplefilter("error")
         mk.build(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 60)
         mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 60)
+
+
+def test_build_warns_on_binomials_exactly_past_row_56():
+    # a jump term reads Pascal row n; rows up to 56 are exact
+    up_only = mk.HawkesSpec(1.0, 1.0, 2.0)
+    down_only = mk.GenericGeneratorSpec(
+        coeffs=(0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.3, 0.0, 0.0),
+        down=mk.DeterministicJumps(1.0),
+    )
+    for spec in (up_only, down_only):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mk.build(spec, 56)
+        with pytest.warns(BinomialPrecisionWarning):
+            mk.build(spec, 57)
+
+
+def _bits(built):
+    system, init = built
+    return system.theta.packed.tobytes(), system.theta0.tobytes(), init.powers.tobytes()
+
+
+def _law(name, rng):
+    if name == "deterministic":
+        return mk.DeterministicJumps(rng.uniform(0.2, 2.0))
+    if name == "exponential":
+        return mk.ExponentialJumps(rng.uniform(0.5, 2.0))
+    if name == "lognormal":
+        return mk.LogNormalJumps(rng.uniform(-0.5, 0.0), rng.uniform(0.2, 0.9))
+    if name == "uniform":
+        return mk.UniformJumps()
+    # the moments c^k / (k+1) of Uniform(0, c)
+    c = rng.uniform(0.5, 2.0)
+    return mk.ExplicitJumps(tuple(c**k / (k + 1) for k in range(1, 101)))
+
+
+JUMP_LAWS = ("deterministic", "exponential", "lognormal", "uniform", "explicit")
+
+
+def _generic_draws():
+    """Every built-in law as the up-jump against every one as the down-jump,
+    with coefficients in [-2, 2] of which each is zeroed with probability
+    1/4; at least one up-rate and one down-rate stay on."""
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for i, up in enumerate(JUMP_LAWS):
+        for j, down in enumerate(JUMP_LAWS):
+            coeffs = np.where(rng.random(10) < 0.75, rng.uniform(-2.0, 2.0, 10), 0.0)
+            for pair in ((0, 1), (2, 3)):
+                if not coeffs[pair[0]] and not coeffs[pair[1]]:
+                    coeffs[pair[rng.integers(2)]] = rng.uniform(0.1, 2.0)
+            collapse = JUMP_LAWS[(i + j) % len(JUMP_LAWS)]
+            laws = {"up": up, "down": down, "collapse": collapse}
+            draws.append(
+                (
+                    "lognormal" in laws.values(),
+                    mk.GenericGeneratorSpec(
+                        coeffs=tuple(coeffs),
+                        x0=rng.uniform(-1.0, 2.0),
+                        **{role: _law(name, rng) for role, name in laws.items()},
+                    ),
+                )
+            )
+    return draws
+
+
+GENERIC_DRAWS = _generic_draws()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 10, 56, 57, 100])
+def test_build_matches_row_loop_on_generic_draws(order):
+    # lognormal moments exp(k m + k^2 s^2 / 2) stay finite only to order 37
+    cases = [spec for lognormal, spec in GENERIC_DRAWS if order <= 37 or not lognormal]
+    assert len(cases) == (25 if order <= 37 else 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinomialPrecisionWarning)
+        for i, spec in enumerate(cases):
+            assert _bits(mk.build(spec, order)) == _bits(reference_generic_build(spec, order)), i
+
+
+NESTING_SPECS = {
+    **{name: spec for name, (spec, _) in FIXTURES.items()},
+    "generic": mk.GenericGeneratorSpec(
+        coeffs=(0.4, 0.3, 0.2, 0.5, 0.1, -2.0, 0.3, 0.2, -0.1, 0.6),
+        up=mk.ExponentialJumps(1.5),
+        down=mk.DeterministicJumps(0.7),
+        collapse=mk.UniformJumps(),
+        x0=0.8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTING_SPECS))
+def test_build_nests_bit_for_bit(name):
+    spec = NESTING_SPECS[name]
+    n = 37 if name == "shotnoise" else 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinomialPrecisionWarning)
+        system, init = mk.build(spec, n)
+        for k in (1, 2, 56, 57, n - 1):
+            if k > n:
+                continue
+            prefix = (system.theta.leading(k), system.theta0[:k], init.powers[:k])
+            small, small_init = mk.build(spec, k)
+            assert prefix[0].packed.tobytes() == small.theta.packed.tobytes(), k
+            assert prefix[1].tobytes() == small.theta0.tobytes(), k
+            assert prefix[2].tobytes() == small_init.powers.tobytes(), k
+
+
+def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
+    # threads that grow the module's Pascal rows and packed buffer together
+    # must each read complete rows of the size they asked for
+    specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.EphemeralSpec(1.0, 2.0, 3.0)]
+    orders = [100, 12, 57, 80, 3, 64, 99, 40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinomialPrecisionWarning)
+        expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
+    for attempt in range(20):
+        monkeypatch.setattr(mk.processes, "_BINOM_ROWS", [np.array([1.0])])
+        monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty(0))
+        monkeypatch.setattr(core, "_TRIL", (np.empty(0, np.intp), np.empty(0, np.intp)))
+        results, errors = {}, []
+
+        def work(i, n):
+            try:
+                results[i, n] = _bits(mk.build(specs[i], n))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=key) for key in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BinomialPrecisionWarning)
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and results == expected, attempt
 
 
 def test_build_rejects_unsupported_objects():
