@@ -131,8 +131,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def identity(cls, order: int) -> "MatryoshkanMatrix":
-        dense = np.eye(order)
-        return cls.from_dense(dense)
+        return cls.from_diagonal(np.ones(order))
 
     @classmethod
     def zeros(cls, order: int) -> "MatryoshkanMatrix":
@@ -141,7 +140,10 @@ class MatryoshkanMatrix:
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
         d = np.asarray(values, dtype=np.float64).reshape(-1)
-        return cls.from_dense(np.diag(d))
+        rows, cols = _tril_indices(d.shape[0])
+        packed = np.zeros(rows.shape[0])
+        packed[rows == cols] = d
+        return cls(d.shape[0], packed)
 
     @classmethod
     def from_dense(cls, array) -> "MatryoshkanMatrix":
@@ -149,7 +151,7 @@ class MatryoshkanMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
-        if n >= 2 and np.any(a[np.triu_indices(n, k=1)] != 0.0):
+        if np.triu(a, 1).any():
             raise InvalidDimension("entries above the diagonal must be exactly zero")
         return cls(n, a[_tril_indices(n)])
 
@@ -337,7 +339,7 @@ def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     for k in range(1, n):
         W[k, :k] = -(L[k, :k] @ W[:k, :k]) / d[k]
         W[k, k] = 1.0 / d[k]
-    return MatryoshkanMatrix.from_dense(W)
+    return MatryoshkanMatrix(n, W[_tril_indices(n)])
 
 
 def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
@@ -394,7 +396,7 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
         E[np.diag_indices(n)] = np.exp(m.diagonal() * t)
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
-    return MatryoshkanMatrix.from_dense(E)
+    return MatryoshkanMatrix(n, E[_tril_indices(n)])
 
 
 def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -478,4 +480,4 @@ def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
     for i in range(1, n):
         U[i, :i] = (L[i, :i] @ U[:i, :i]) / (d[:i] - d[i])
         U[i, i] = 1.0
-    return EigenPair(U=MatryoshkanMatrix.from_dense(U), D=d.copy())
+    return EigenPair(U=MatryoshkanMatrix(n, U[_tril_indices(n)]), D=d.copy())

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CoefficientSystem, InitialMomentVector, MomentVector, transient_vector
+from .engine import (
+    _OVERFLOW_LIMIT, CoefficientSystem, InitialMomentVector, MomentVector, transient_vector,
+)
 from .errors import InvalidInput, Overflow
 
 __all__ = ["BenchRecord", "EulerConfig", "bench", "error_metrics", "euler_solve"]
 
-_OVERFLOW_LIMIT = 1e300
 _CHECK_EVERY = 1024
 
 

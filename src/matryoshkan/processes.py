@@ -11,7 +11,6 @@ moment ODE system plus the initial moment powers.  A new family is one more
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -51,8 +50,6 @@ __all__ = [
 # Pascal-triangle rows stay exactly representable in binary64 up to row 56;
 # C(57, 28) exceeds 2**53.
 _BINOM_EXACT_MAX = 56
-_BINOM_ROWS: list[np.ndarray] = [np.array([1.0])]
-_BINOM_LOCK = threading.Lock()
 # The entries C(k, 0..k-1) of rows k = 1, 2, ... packed row-major, in the
 # order of the matrix storage.  Order n reads the first n(n+1)/2 entries, so
 # one read-only buffer serves every order and only grows.
@@ -64,8 +61,7 @@ def binomial_row(n: int) -> np.ndarray:
     if n < 0:
         raise InvalidInput(f"binomial row index must be >= 0, got {n}")
     _warn_inexact_binomials(n)
-    _grow_binomial_rows(n)
-    return _BINOM_ROWS[n].copy()
+    return np.append(_pascal_packed(n)[n * (n - 1) // 2 :], 1.0)
 
 
 def _warn_inexact_binomials(row: int) -> None:
@@ -79,17 +75,6 @@ def _warn_inexact_binomials(row: int) -> None:
         )
 
 
-def _grow_binomial_rows(n: int) -> None:
-    with _BINOM_LOCK:  # each row is appended once, after the row it sums
-        while len(_BINOM_ROWS) <= n:
-            prev = _BINOM_ROWS[-1]
-            row = np.empty(prev.shape[0] + 1)
-            row[0] = 1.0
-            row[-1] = 1.0
-            row[1:-1] = prev[:-1] + prev[1:]
-            _BINOM_ROWS.append(row)
-
-
 def _pascal_packed(n: int) -> np.ndarray:
     """Packed C(k, j) for 1 <= k <= n, j < k: a prefix of the shared buffer."""
     global _PASCAL_BUFFER
@@ -98,10 +83,17 @@ def _pascal_packed(n: int) -> np.ndarray:
     # size, which costs a later regrowth but never a short slice here.
     pascal = _PASCAL_BUFFER
     if pascal.shape[0] < size:
-        _grow_binomial_rows(n)
-        pascal = np.concatenate([_BINOM_ROWS[k][:k] for k in range(1, n + 1)])
-        pascal.setflags(write=False)
-        _PASCAL_BUFFER = pascal
+        grown = np.ones(size)
+        grown[: pascal.shape[0]] = pascal
+        # row k = [1, prev[:-1] + prev[1:], prev[-1] + 1], after the rows
+        # already held (a buffer of m rows has m(m+1)/2 entries)
+        for k in range(max(math.isqrt(2 * pascal.shape[0]) + 1, 2), n + 1):
+            start = k * (k - 1) // 2
+            prev = grown[start - k + 1 : start]
+            grown[start + 1 : start + k - 1] = prev[:-1] + prev[1:]
+            grown[start + k - 1] = prev[-1] + 1.0
+        grown.setflags(write=False)
+        _PASCAL_BUFFER = pascal = grown
     return pascal[:size]
 
 
@@ -468,8 +460,7 @@ ProcessSpec = (
 def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
-    if n < 1:
-        raise InvalidInput(f"order must be >= 1, got {n}")
+    _check_order(n)
     _warn_inexact_binomials(n)
     rows, cols = _tril_indices(n)
     gap = (rows + 1 - cols).astype(np.float64)
@@ -481,16 +472,15 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
 
     Equals the exponential of a times the subdiagonal ladder diag(1:k-1, -1);
     at a = 1 the nonzero entries are the first k rows of Pascal's triangle.
+    Below the diagonal they are the packed order-(k-1) Pascal entries.
     """
-    if k < 1:
-        raise InvalidInput(f"order must be >= 1, got {k}")
-    a = float(a)
-    packed = []
-    for i in range(1, k + 1):
-        b = binomial_row(i - 1)
-        powers = np.power(a, np.arange(i - 1, -1, -1, dtype=np.float64))
-        packed.append(b * powers)
-    return MatryoshkanMatrix(k, np.concatenate(packed))
+    _check_order(k)
+    _warn_inexact_binomials(k - 1)
+    rows, cols = _tril_indices(k)
+    binom = np.ones(rows.shape[0])
+    binom[rows > cols] = _pascal_packed(k - 1)
+    gap = (rows - cols).astype(np.float64)
+    return MatryoshkanMatrix(k, binom * np.power(float(a), gap))
 
 
 # -- the builder --------------------------------------------------------------

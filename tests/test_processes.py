@@ -96,6 +96,28 @@ def test_pascal_matryoshkan_from_lower():
     assert np.abs(mk.pascal_matryoshkan(n, a).dense() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def test_pascal_lower_warns_once_at_the_caller():
+    # order 57 reads Pascal rows up to 56, all exact; order 62 reads the
+    # inexact rows 57..61 and warns once for the whole matrix, at this line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mk.pascal_lower(57, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mk.pascal_lower(62, 1.0)
+    assert [w.category for w in caught] == [BinomialPrecisionWarning]
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.3])
+def test_pascal_lower_nests_bit_for_bit(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinomialPrecisionWarning)
+        big = mk.pascal_lower(100, a)
+        for j in range(1, 101):
+            assert big.leading(j).packed.tobytes() == mk.pascal_lower(j, a).packed.tobytes(), j
+
+
 # -- jump moment providers ------------------------------------------------------
 
 
@@ -465,15 +487,14 @@ def test_build_nests_bit_for_bit(name):
 
 
 def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
-    # threads that grow the module's Pascal rows and packed buffer together
-    # must each read complete rows of the size they asked for
+    # threads that grow the module's packed Pascal and index buffers
+    # together must each read complete prefixes of the size they asked for
     specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.EphemeralSpec(1.0, 2.0, 3.0)]
     orders = [100, 12, 57, 80, 3, 64, 99, 40]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinomialPrecisionWarning)
         expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
     for attempt in range(20):
-        monkeypatch.setattr(mk.processes, "_BINOM_ROWS", [np.array([1.0])])
         monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty(0))
         monkeypatch.setattr(core, "_TRIL", (np.empty(0, np.intp), np.empty(0, np.intp)))
         results, errors = {}, []
