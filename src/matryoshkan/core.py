@@ -9,10 +9,11 @@ for bit.  The inverse and the eigendecomposition extend row by row with one
 vector-matrix product and one triangular substitution, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
-row i of the dense Pade-13 exponential of the leading (i+1)-block.  The same
-Pade kernel serves the moment engine's transient solution: ``_affine_flow``
-applies the exponential of the augmented generator by graded scaling and
-squaring.  None of these needs a distinct spectrum.
+row i of the dense Taylor exponential of the leading (i+1)-block, evaluated
+without a linear solve.  The same Taylor kernel serves the moment engine's
+transient solution: ``_affine_flow`` applies the exponential of the augmented
+generator by graded scaling and squaring.  None of these needs a distinct
+spectrum.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -53,14 +54,35 @@ __all__ = [
 # loudly instead of returning noise.
 DISTINCT_RTOL = 1e-9
 
-# Pade-13 coefficients b_0..b_13 and the largest 1-norm of X at which r_13(X)
-# meets e^X to unit roundoff (Higham, SIMAX 26, 2005).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+# Taylor degrees m = p q and the largest 1-norm theta_m of X at which the
+# truncated series T_m(X) is e^(X + dX) with ||dX|| <= 2^-53 ||X|| (Al-Mohy &
+# Higham, SIMAX 33, 2011, Table 3.1).  Paterson-Stockmeyer evaluates T_m in
+# p + q - 2 products (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973).
+_TAYLOR_DEGREES = (
+    # (p, q, theta_m)
+    (2, 1, 2.580956802971767e-08),
+    (2, 2, 3.397168839976962e-04),
+    (3, 2, 9.065656407595102e-03),
+    (3, 3, 8.957760203223343e-02),
+    (4, 3, 2.996158913811581e-01),
+    (4, 4, 7.802874256626574e-01),
+    (5, 4, 1.438252596804337e+00),
+    (5, 5, 2.428582524442826e+00),
+    (6, 5, 3.539666348743689e+00),
 )
-_THETA13 = 5.371920351148152
+
+
+def _taylor_coefficients(p: int, q: int) -> np.ndarray:
+    """Row k holds the coefficients of chunk k of T_pq over X^0..X^p."""
+    coef = np.zeros((q, p + 1))
+    for k in range(q):
+        for j in range(p + 1 if k == q - 1 else p):
+            coef[k, j] = 1.0 / math.factorial(k * p + j)
+    coef.setflags(write=False)
+    return coef
+
+
+_TAYLOR_COEF = tuple(_taylor_coefficients(p, q) for p, q, _ in _TAYLOR_DEGREES)
 _LOG_EPS = math.log(np.finfo(np.float64).eps)
 # Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
 # is identically zero and takes the lowest.
@@ -72,6 +94,11 @@ _GRADE_EXP = 1000
 # because packed storage is row-major.  One read-only buffer serves every
 # order and only grows.
 _TRIL = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise InvalidDimension(f"order must be >= 1, got {order}")
 
 
 def _packed_size(order: int) -> int:
@@ -104,8 +131,7 @@ class MatryoshkanMatrix:
     __slots__ = ("order", "_data", "_dense", "_diag", "_coincident")
 
     def __init__(self, order: int, packed):
-        if order < 1:
-            raise InvalidDimension(f"order must be >= 1, got {order}")
+        _check_order(order)
         data = np.asarray(packed, dtype=np.float64).reshape(-1).copy()
         if data.shape[0] != _packed_size(order):
             raise InvalidDimension(
@@ -131,6 +157,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def identity(cls, order: int) -> "MatryoshkanMatrix":
+        _check_order(order)
         return cls.from_diagonal(np.ones(order))
 
     @classmethod
@@ -230,31 +257,50 @@ def _require_same_order(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> None:
         raise InvalidDimension(f"order mismatch: {x.order} vs {y.order}")
 
 
-def _pade_exp(B: np.ndarray) -> np.ndarray:
-    """e^B for a lower-triangular B by Pade-13 scaling and squaring.
+def _taylor_degree(norm: float) -> tuple[int, int]:
+    """Index into _TAYLOR_DEGREES and squaring count s for 1-norm ``norm``.
 
-    B is scaled by 2^{-s} under theta_13, the lower-triangular Pade
-    denominator is solved index-reversed (upper triangular, so partial
-    pivoting never swaps a row), and the diagonal is reset to the exact
-    e^{b_kk tau} after each squaring (Al-Mohy & Higham, SIMAX 31, 2009).
-    Powers of two keep the scaling exact.  Entries that leave the double
-    range come back non-finite.
+    Each degree needs s = ceil(log2(norm / theta_m)) squarings; the pair with
+    the fewest products plus squarings wins, and on a tie the fewer squarings.
+    """
+    options = []
+    for index, (p, q, theta) in enumerate(_TAYLOR_DEGREES):
+        s = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
+        options.append((p + q - 2 + s, s, index))
+    _, s, index = min(options)
+    return index, s
+
+
+def _taylor_exp(B: np.ndarray) -> np.ndarray:
+    """e^B for a lower-triangular B by Taylor scaling and squaring.
+
+    T_m(2^{-s} B) is evaluated by Paterson-Stockmeyer: the powers X^0..X^p
+    are stacked, every p-term chunk sum comes from one product of the chunk
+    coefficients with that stack, and Horner's rule in X^p joins the chunks.
+    No linear system is solved.  After each squaring the diagonal is reset
+    to the exact e^{b_kk tau} (Al-Mohy & Higham, SIMAX 31, 2009).  Powers of
+    two keep the scaling exact.  Entries that leave the double range come
+    back non-finite.
     """
     norm = float(np.abs(B).sum(axis=0).max())
     if not math.isfinite(norm):
         raise Overflow("generator entries times t exceed the double-precision range")
-    s = 0 if norm <= _THETA13 else math.ceil(math.log2(norm / _THETA13))
-    X = np.ldexp(B, -s)
-    b = _PADE13
-    eye = np.eye(B.shape[0])
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2) + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
-    V = X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2) + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye
-    R = np.linalg.solve((V - U)[::-1, ::-1], (V + U)[::-1])[::-1]
+    index, s = _taylor_degree(norm)
+    coef = _TAYLOR_COEF[index]
+    p = coef.shape[1] - 1
+    n = B.shape[0]
+    powers = np.empty((p + 1, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = np.ldexp(B, -s)
+    for j in range(2, p + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    chunks = (coef @ powers.reshape(p + 1, n * n)).reshape(-1, n, n)
+    R = chunks[-1]
+    for chunk in chunks[-2::-1]:
+        R = R @ powers[p]
+        R += chunk
     diag = np.diagonal(B)
-    idx = np.diag_indices(B.shape[0])
+    idx = np.diag_indices(n)
     for i in range(s):
         R = R @ R
         R[idx] = np.exp(np.ldexp(diag, i + 1 - s))
@@ -374,11 +420,11 @@ def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
 def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     """Matrix exponential e^{M t}, one row per leading block.
 
-    Row i is row i of the Pade-13 exponential of the leading (i+1)-block of
-    M t, so it depends on that block alone and the result nests bit for
-    bit; the diagonal is the exact (e^{d_1 t}, ..., e^{d_n t}).  Repeated
-    diagonals need no special care.  Row i costs one dense (i+1)-order
-    exponential, O(n^4 / 4) in all.
+    Row i is row i of the Taylor exponential (``_taylor_exp``) of the leading
+    (i+1)-block of M t, so it depends on that block alone and the result
+    nests bit for bit; the diagonal is the exact (e^{d_1 t}, ..., e^{d_n t}).
+    Repeated diagonals need no special care.  Row i costs one dense
+    (i+1)-order exponential, O(n^4 / 4) in all, and no linear solve.
 
     Raises:
         InvalidInput: t is not finite.
@@ -392,7 +438,7 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     E = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            E[i, : i + 1] = _pade_exp(L[: i + 1, : i + 1] * t)[i]
+            E[i, : i + 1] = _taylor_exp(L[: i + 1, : i + 1] * t)[i]
         E[np.diag_indices(n)] = np.exp(m.diagonal() * t)
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
@@ -436,7 +482,7 @@ def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: f
     A = [[0, 0], [shift, M]] (Van Loan, IEEE TAC 23, 1978), which needs no
     resolvent and no distinct spectrum.  The exponential is graded: the
     grading D = diag(2^e) makes every component of D^{-1} e^{At} [1; init] of
-    order one, and ``_pade_exp`` exponentiates B = D^{-1} A t D.  Powers of
+    order one, and ``_taylor_exp`` exponentiates B = D^{-1} A t D.  Powers of
     two keep the grading exact.
 
     Once every e^{d_k t} is below machine epsilon, the origin moves to the
@@ -456,7 +502,7 @@ def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: f
         A[1:, 1:] = m.dense()
         v = np.concatenate(([1.0], init))
         e = _grading(A, v, t)
-        R = _pade_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
+        R = _taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
         flow = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
         return flow if anchor is None else anchor + flow
 

@@ -6,12 +6,16 @@ The cache is read only through ``reference.load``, which refuses a cache
 built for other cell definitions, and each reference is checked to have been
 computed on the exact inputs that ``build`` gives today, so a stale cache
 fails loudly instead of comparing against the wrong numbers.
+
+``mpmath_transient`` computes a reference directly, for systems the cache
+does not hold, from ``mpmath.expm`` of the augmented generator.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -46,3 +50,16 @@ def worst_relative_error(values, ref) -> float:
     hi, lo = ref[:, 0], ref[:, 1]
     mask = np.abs(hi) > TINY
     return float(np.max(np.abs((values[mask] - hi[mask]) - lo[mask]) / np.abs(hi[mask])))
+
+
+def mpmath_transient(system, init, t: float) -> list:
+    """Rows 1..n of mpmath.expm(A t) [1; s(0)] at 50 digits, as mpf values,
+    for the augmented generator A = [[0, 0], [c, T]] of ``system``."""
+    n = system.order
+    A = np.zeros((n + 1, n + 1))
+    A[1:, 0] = system.theta0
+    A[1:, 1:] = system.theta.dense()
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(t))
+        v = [mpmath.mpf(1)] + [mpmath.mpf(x) for x in init.powers]
+        return [mpmath.fsum(E[i, j] * v[j] for j in range(i + 1)) for i in range(1, n + 1)]

@@ -58,6 +58,16 @@ def test_from_dense_rejects_upper_triangle():
         M([[1.0, 0.5], [0.0, 1.0]])
 
 
+def test_constructors_reject_non_positive_orders():
+    for order in (0, -1):
+        with pytest.raises(InvalidDimension):
+            mk.MatryoshkanMatrix.identity(order)
+        with pytest.raises(InvalidDimension):
+            mk.MatryoshkanMatrix.zeros(order)
+    with pytest.raises(InvalidDimension):
+        mk.MatryoshkanMatrix.from_diagonal([])
+
+
 def test_accessors(rng):
     m = random_matryoshkan(rng, 6)
     d = m.dense()
@@ -207,6 +217,67 @@ def mpmath_dense(f, L: np.ndarray) -> np.ndarray:
     """f applied to L in 40-digit arithmetic, rounded back to doubles."""
     with mpmath.workdps(40):
         return np.array(f(mpmath.matrix(L.tolist())).tolist(), dtype=np.float64)
+
+
+def test_taylor_thresholds_match_their_backward_error_bound():
+    # theta_m is the root of sum_{k>m} |g_k| theta^(k-1) = 2^-53, where
+    # log(e^-x T_m(x)) = sum_k g_k x^k, from f = e^-x T_m(x) by the log-series
+    # recurrence k g_k = k f_k - sum_{j<k} j g_j f_(k-j)
+    assert [p * q for p, q, _ in core._TAYLOR_DEGREES] == [2, 4, 6, 9, 12, 16, 20, 25, 30]
+    terms = 100
+    with mpmath.workdps(30):
+        u = mpmath.mpf(2) ** -53
+        for p, q, theta in core._TAYLOR_DEGREES:
+            m = p * q
+            # f_k, the x^k coefficient of e^-x T_m(x)
+            f = [
+                mpmath.fsum(
+                    (-1) ** (k - i) / (mpmath.factorial(i) * mpmath.factorial(k - i))
+                    for i in range(min(k, m) + 1)
+                )
+                for k in range(terms + 1)
+            ]
+            g = [mpmath.mpf(0)] * (terms + 1)
+            for k in range(1, terms + 1):
+                g[k] = f[k] - mpmath.fsum(j * g[j] * f[k - j] for j in range(1, k)) / k
+            lo, hi = mpmath.mpf(0), mpmath.mpf(m)
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if mpmath.fsum(abs(g[k]) * mid ** (k - 1) for k in range(m + 1, terms + 1)) > u:
+                    hi = mid
+                else:
+                    lo = mid
+            assert f"{theta:.4e}" == f"{float(lo):.4e}", m
+
+
+def test_exponentials_solve_no_linear_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exponential kernel solved a linear system")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    with pytest.warns(mk.BinomialPrecisionWarning):
+        _, system, init, _ = build_fixture("hawkes", 100)
+    assert np.all(np.isfinite(mk.transient_vector(system, init, 0.1).values))
+    _, system, _, _ = build_fixture("hawkes", 10)
+    assert np.all(np.isfinite(mk.exp_scaled(system.theta, 1.0).packed))
+
+
+def test_taylor_kernel_takes_every_degree_and_matches_mpmath():
+    # one lower-triangular direction scaled to 1-norms from 1e-9 to 1e4, four
+    # per decade; the strictly lower part dominates, so e^B stays in range
+    rng = np.random.default_rng(7)
+    base = np.tril(rng.uniform(-1.0, 1.0, (6, 6)), -1) + np.diag(rng.uniform(-0.1, 0.1, 6))
+    base /= np.abs(base).sum(axis=0).max()
+    degrees = set()
+    for norm in np.logspace(-9.0, 4.0, 53):
+        B = norm * base
+        index, _ = core._taylor_degree(float(np.abs(B).sum(axis=0).max()))
+        p, q, _ = core._TAYLOR_DEGREES[index]
+        degrees.add(p * q)
+        ref = mpmath_dense(mpmath.expm, B)
+        assert worst_row_error(core._taylor_exp(B), ref) <= 1e-13, norm
+    assert degrees == {p * q for p, q, _ in core._TAYLOR_DEGREES}
 
 
 @pytest.mark.parametrize(

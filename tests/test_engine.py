@@ -140,9 +140,9 @@ def test_geometric_brownian_motion_moments(theta, sigma):
 def test_transient_matches_mpmath_reference_on_every_cached_cell():
     # the cached references are mpmath eigen-expansions of the augmented
     # generator at 64+ digits (benchmarks/reference.py): six families, orders
-    # 3 to 100, t from 0.01 to 50.  The bound sits above rounding (3.9e-15
-    # measured) and below what a pivoting Pade solve (2e-13) or an inexact
-    # squared diagonal (2.1e-14) give.
+    # 3 to 100, t from 0.01 to 50.  The bound sits above rounding (2.7e-15
+    # measured) and below what the exponential kernel gives without its
+    # exact diagonal reset after each squaring (9.2e-14).
     errors = {}
     for key, system, init, time, ref in cached_transient_references(mk):
         errors[key] = worst_relative_error(mk.transient_vector(system, init, time).values, ref)
