@@ -21,7 +21,6 @@ from .engine import (
     MomentVector,
     ValidationReport,
     steady_nth,
-    steady_recursive,
     steady_vector,
     transient_scalar,
     transient_vector,

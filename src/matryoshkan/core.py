@@ -5,8 +5,8 @@ block of the order-n member is itself the order-k member.  Packed row-major
 storage makes the nesting literal (the order-k block is a prefix of the
 buffer), and every operation assembles its result one row at a time from the
 leading block alone, so ``op(m).leading(k)`` equals ``op(m.leading(k))`` bit
-for bit.  The inverse and the eigendecomposition extend row by row with one
-vector-matrix product and one triangular substitution, O(n^2) per row.
+for bit.  A row of the inverse or of the eigenvectors costs one vector times
+the leading block built so far and one division, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
 row i of the dense Taylor exponential of the leading (i+1)-block, evaluated
@@ -308,10 +308,15 @@ def _taylor_exp(B: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
-    """Solve M x = rhs by forward substitution."""
-    b = np.asarray(rhs, dtype=np.float64).reshape(-1)
-    if b.shape[0] != m.order:
-        raise InvalidDimension(f"rhs length {b.shape[0]} != order {m.order}")
+    """Solve M x = rhs by forward substitution.
+
+    Raises:
+        InvalidDimension: rhs does not have shape (order,).
+        SingularMatrix: a diagonal entry is zero.
+    """
+    b = np.asarray(rhs, dtype=np.float64)
+    if b.shape != (m.order,):
+        raise InvalidDimension(f"rhs shape {b.shape} != ({m.order},)")
     L = m.dense()
     d = m.diagonal()
     x = np.empty(m.order)
@@ -320,6 +325,19 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
             raise SingularMatrix(i + 1)
         x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / d[i]
     return x
+
+
+def _trailing_rows(m: MatryoshkanMatrix, den: np.ndarray, diag) -> MatryoshkanMatrix:
+    """X with diagonal ``diag`` and, left of it, row i = (M[i, :i] @ X[:i, :i])
+    / den[i, :i]: one product of width i, so X nests bit for bit.  A wider
+    product changes the bits: BLAS rounding depends on the column count."""
+    n = m.order
+    L = m.dense()
+    X = np.zeros((n, n))
+    X[np.diag_indices(n)] = diag
+    for i in range(1, n):
+        X[i, :i] = (L[i, :i] @ X[:i, :i]) / den[i, :i]
+    return MatryoshkanMatrix(n, X[_tril_indices(n)])
 
 
 # -- operations -----------------------------------------------------------
@@ -334,7 +352,9 @@ def extend(
 
     With ``base=None`` and an empty row this is the order-1 base case.
     """
-    r = np.asarray(row, dtype=np.float64).reshape(-1)
+    r = np.asarray(row, dtype=np.float64)
+    if r.ndim != 1:
+        raise InvalidDimension(f"row must be one-dimensional, got shape {r.shape}")
     if base is None:
         if r.shape[0] != 0:
             raise InvalidDimension("base case takes an empty row")
@@ -370,7 +390,7 @@ def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
 def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     """Inverse built row by row from the leading-block inverse.
 
-    The trailing row of the order-k inverse is -(1/d_k) m_k W_{k-1} with
+    The trailing row of the order-k inverse is m_k W_{k-1} / (-d_k) with
     W_{k-1} the inverse already assembled, and 1/d_k on the diagonal.  No
     dense general-purpose inversion is involved.
     """
@@ -378,14 +398,7 @@ def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise SingularMatrix(int(zero[0]) + 1)
-    n = m.order
-    L = m.dense()
-    W = np.zeros((n, n))
-    W[0, 0] = 1.0 / d[0]
-    for k in range(1, n):
-        W[k, :k] = -(L[k, :k] @ W[:k, :k]) / d[k]
-        W[k, k] = 1.0 / d[k]
-    return MatryoshkanMatrix(n, W[_tril_indices(n)])
+    return _trailing_rows(m, np.broadcast_to(-d[:, None], (m.order, m.order)), 1.0 / d)
 
 
 def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
@@ -519,11 +532,4 @@ def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
     if pairs:
         raise DegenerateSpectrum(pairs)
     d = m.diagonal()
-    n = m.order
-    L = m.dense()
-    U = np.zeros((n, n))
-    U[0, 0] = 1.0
-    for i in range(1, n):
-        U[i, :i] = (L[i, :i] @ U[:i, :i]) / (d[:i] - d[i])
-        U[i, i] = 1.0
-    return EigenPair(U=MatryoshkanMatrix(n, U[_tril_indices(n)]), D=d.copy())
+    return EigenPair(U=_trailing_rows(m, d[None, :] - d[:, None], 1.0), D=d.copy())

@@ -29,7 +29,6 @@ __all__ = [
     "MomentVector",
     "ValidationReport",
     "steady_nth",
-    "steady_recursive",
     "steady_vector",
     "transient_scalar",
     "transient_vector",
@@ -173,12 +172,6 @@ def steady_nth(system: CoefficientSystem, n: int) -> float:
     if not 1 <= n <= system.order:
         raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
     return steady_vector(system.leading(n)).values[-1]
-
-
-def steady_recursive(system: CoefficientSystem) -> MomentVector:
-    """Stationary moments built bottom-up, one order at a time; forward
-    substitution is exactly that recursion."""
-    return steady_vector(system)
 
 
 @dataclass(frozen=True)

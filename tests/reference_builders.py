@@ -5,8 +5,10 @@ directly instead of through the generic generator.  The library builds every
 family through `matryoshkan.build`; the tests compare its output against
 these functions, so the equivalence check is not a tautology.
 `reference_generic_build` applies any generic generator row by row, one
-Python loop iteration per moment order, as the library once did.  This
-module holds no tests.
+Python loop iteration per moment order, as the library once did.
+`reference_inverse` and `reference_eigendecompose` are the two row loops the
+library once wrote out separately and now shares.  This module holds no
+tests.
 """
 
 import numpy as np
@@ -223,6 +225,32 @@ def reference_generic_build(spec, n: int) -> tuple[CoefficientSystem, InitialMom
         rows.append(coef[1:])
     system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
+
+
+def reference_inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
+    """Inverse of a nonsingular m, one trailing row at a time."""
+    d = m.diagonal()
+    n = m.order
+    L = m.dense()
+    W = np.zeros((n, n))
+    W[0, 0] = 1.0 / d[0]
+    for k in range(1, n):
+        W[k, :k] = -(L[k, :k] @ W[:k, :k]) / d[k]
+        W[k, k] = 1.0 / d[k]
+    return MatryoshkanMatrix(n, W[np.tril_indices(n)])
+
+
+def reference_eigendecompose(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
+    """Unit lower-triangular eigenvectors of m with a distinct diagonal."""
+    d = m.diagonal()
+    n = m.order
+    L = m.dense()
+    U = np.zeros((n, n))
+    U[0, 0] = 1.0
+    for i in range(1, n):
+        U[i, :i] = (L[i, :i] @ U[:i, :i]) / (d[:i] - d[i])
+        U[i, i] = 1.0
+    return MatryoshkanMatrix(n, U[np.tril_indices(n)])
 
 
 def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:

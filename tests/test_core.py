@@ -17,6 +17,7 @@ from matryoshkan.errors import (
 )
 
 from conftest import build_fixture, random_matryoshkan, taylor_exp
+from reference_builders import reference_eigendecompose, reference_inverse
 
 
 def M(rows):
@@ -51,6 +52,9 @@ def test_extend_rejects_wrong_row_length():
         mk.extend(mk.MatryoshkanMatrix.initial(1.0), [1.0, 2.0], 3.0)
     with pytest.raises(InvalidDimension):
         mk.extend(None, [1.0], 2.0)
+    # four entries, as many as an order-4 base takes, but not one row
+    with pytest.raises(InvalidDimension):
+        mk.extend(mk.MatryoshkanMatrix.identity(4), [[1.0, 2.0], [3.0, 4.0]], 5.0)
 
 
 def test_from_dense_rejects_upper_triangle():
@@ -431,6 +435,10 @@ def test_nesting_is_exact_for_all_operations(rng):
             assert np.array_equal(
                 mk.power(m, 4).leading(k).packed, mk.power(m.leading(k), 4).packed
             )
+            assert np.array_equal(
+                mk.eigendecompose(m).U.leading(k).packed,
+                mk.eigendecompose(m.leading(k)).U.packed,
+            )
 
 
 def test_power_matches_repeated_multiplication_through_8(rng):
@@ -458,6 +466,46 @@ def test_solve_lower_zero_pivot():
     m = M([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(SingularMatrix):
         mk.solve_lower(m, [1.0, 1.0])
+
+
+def test_solve_lower_rejects_wrong_shaped_rhs():
+    # four entries, as many as the order, but not one vector
+    with pytest.raises(InvalidDimension):
+        mk.solve_lower(mk.MatryoshkanMatrix.identity(4), [[1.0, 2.0], [3.0, 4.0]])
+
+
+# -- the shared trailing-row recursion against its two former loops ------------
+
+
+def _wide_range_matryoshkan(rng, order):
+    """Entries of either sign spanning about e^-9..e^9, 30% of them exact
+    zeros below the diagonal; the diagonal is nonzero."""
+    size = order * (order + 1) // 2
+    packed = np.exp(rng.uniform(-9.0, 9.0, size)) * rng.choice([-1.0, 1.0], size)
+    packed[rng.random(size) < 0.3] = 0.0
+    idx = np.arange(1, order + 1)
+    packed[idx * (idx + 1) // 2 - 1] = np.exp(rng.uniform(-9.0, 9.0, order)) * rng.choice(
+        [-1.0, 1.0], order
+    )
+    return mk.MatryoshkanMatrix(order, packed)
+
+
+def test_trailing_rows_match_reference_loops_bytewise():
+    # the identity pins the signs of the zeros below the diagonal
+    assert mk.inverse(mk.MatryoshkanMatrix.identity(3)).packed.tobytes() == (
+        np.array([1.0, -0.0, 1.0, -0.0, -0.0, 1.0]).tobytes()
+    )
+    rng = np.random.default_rng(13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(1, 101):
+            m = _wide_range_matryoshkan(rng, order)
+            identity = mk.MatryoshkanMatrix.identity(order)
+            for x in (m, identity):
+                assert mk.inverse(x).packed.tobytes() == reference_inverse(x).packed.tobytes(), order
+            assert (
+                mk.eigendecompose(m).U.packed.tobytes()
+                == reference_eigendecompose(m).packed.tobytes()
+            ), order
 
 
 def test_values_are_immutable_and_shareable(rng):

@@ -202,9 +202,9 @@ def test_ephemeral_steady_nth():
     assert mk.steady_nth(system, 2) == pytest.approx(4.0, rel=1e-13)
 
 
-def test_shot_noise_steady_recursive():
+def test_shot_noise_steady_vector():
     _, system, _, _ = build_fixture("shotnoise", 2)
-    out = mk.steady_recursive(system).values
+    out = mk.steady_vector(system).values
     assert out[0] == pytest.approx(math.exp(0.5) / 4.0, rel=1e-13)
     assert out[1] == pytest.approx((math.exp(2.0) + math.exp(1.0) / 2.0) / 8.0, rel=1e-13)
 
@@ -224,9 +224,7 @@ def test_order_one_steady_is_ratio():
 def test_three_steady_paths_agree(name):
     _, system, _, _ = build_fixture(name, 10)
     vec = mk.steady_vector(system).values
-    rec = mk.steady_recursive(system).values
     nth = np.array([mk.steady_nth(system, n) for n in range(1, 11)])
-    assert np.abs(rec / vec - 1.0).max() <= 1e-12
     assert np.abs(nth / vec - 1.0).max() <= 1e-12
 
 
