@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimatePrecisionWarning, InsufficientMoments, InvalidInput, Overflow
+from .errors import EstimatePrecisionWarning, InvalidInput, Overflow
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
 __all__ = ["MomentEstimate", "SimConfig", "estimate_moments", "simulate"]
@@ -98,9 +98,12 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     out = []
     root_n = math.sqrt(values.size)
     for k in range(1, max_order + 1):
-        powers = values**k
-        mean = float(powers.mean())
-        se = float(powers.std(ddof=1) / root_n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = values**k
+            mean = float(powers.mean())
+            se = float(powers.std(ddof=1) / root_n)
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise Overflow(f"sample moment of order {k} or its standard error overflows")
         if mean != 0.0 and se > 0.2 * abs(mean):
             warnings.warn(
                 f"relative standard error above 20% at order {k}; the sample "
@@ -119,15 +122,8 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         raise InvalidInput("generic simulation does not support diffusion terms")
     if a[9] < 0.0:
         raise InvalidInput(f"negative collapse rate {a[9]!r}")
-    events = []  # (jump-size law, how it acts on the state), in draw order
-    for used, jumps, name, act in (
-        (a[0] != 0.0 or a[1] != 0.0, g.up, "up-jump", np.add),
-        (a[2] != 0.0 or a[3] != 0.0, g.down, "down-jump", np.subtract),
-        (a[9] != 0.0, g.collapse, "collapse", np.multiply),
-    ):
-        if used and jumps is None:
-            raise InsufficientMoments(f"{name} law required to simulate its rate terms")
-        events.append((jumps, act))
+    # (jump-size law, how it acts on the state), in draw order
+    events = ((g.up, np.add), (g.down, np.subtract), (g.collapse, np.multiply))
 
     def flow(x, s):
         if a[5] == 0.0:

@@ -152,7 +152,12 @@ class DeterministicJumps(JumpMoments):
         return float(self.size) ** k
 
     def moments(self, n: int) -> np.ndarray:
-        return np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
+        with np.errstate(over="ignore"):
+            out = np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
+        if not math.isfinite(out[-1]):
+            k = int(np.argmin(np.isfinite(out))) + 1
+            raise Overflow(f"deterministic jump moment of order {k} overflows")
+        return out
 
     def sample(self, rng, size=None):
         if size is None:
@@ -172,7 +177,10 @@ class ExponentialJumps(JumpMoments):
             raise InvalidInput(f"exponential rate must be > 0, got {self.rate}")
 
     def moment(self, k: int) -> float:
-        return math.factorial(k) / float(self.rate) ** k
+        try:
+            return math.factorial(k) / float(self.rate) ** k
+        except (OverflowError, ZeroDivisionError):
+            raise Overflow(f"exponential moment of order {k} leaves the double range") from None
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -423,9 +431,9 @@ class EphemeralSpec:
 
 @dataclass(frozen=True)
 class GenericGeneratorSpec:
-    """Generator with affine up/down jump rates (a0 + a1 x, a2 + a3 x),
-    affine drift (a4 + a5 x), quadratic diffusion coefficient
-    (a6 + a7 x + a8 x^2) and collapse x -> C x at rate a9."""
+    """Generator with affine up/down jump rates (a0 + a1 x, a2 + a3 x), affine
+    drift (a4 + a5 x), quadratic diffusion coefficient (a6 + a7 x + a8 x^2)
+    and collapse x -> C x at rate a9; a non-zero rate term needs its law."""
 
     coeffs: tuple[float, ...]
     up: JumpMoments | None = None
@@ -439,6 +447,13 @@ class GenericGeneratorSpec:
             raise InvalidInput(f"expected 10 generator coefficients, got {len(c)}")
         object.__setattr__(self, "coeffs", c)
         _require_finite(self)
+        for active, law, term in (
+            (c[0] != 0.0 or c[1] != 0.0, self.up, "up-jump moments required for the a0/a1 terms"),
+            (c[2] != 0.0 or c[3] != 0.0, self.down, "down-jump moments required for the a2/a3 terms"),
+            (c[9] != 0.0, self.collapse, "collapse moments required for the a9 term"),
+        ):
+            if active and law is None:
+                raise InsufficientMoments(term)
 
     def generator(self) -> GenericGeneratorSpec:
         return self
@@ -504,18 +519,14 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     _check_order(n)
     spec = spec.generator()
     a = spec.coeffs
-    need_up = a[0] != 0.0 or a[1] != 0.0
-    need_down = a[2] != 0.0 or a[3] != 0.0
-    need_collapse = a[9] != 0.0
-    if need_up and spec.up is None:
-        raise InsufficientMoments("up-jump moments required for a0/a1 terms")
-    if need_down and spec.down is None:
-        raise InsufficientMoments("down-jump moments required for a2/a3 terms")
-    if need_collapse and spec.collapse is None:
-        raise InsufficientMoments("collapse moments required for the a9 term")
-    ea = spec.up.moments_from_zero(n) if need_up else None
-    eb = spec.down.moments_from_zero(n) if need_down else None
-    ec = spec.collapse.moments(n) if need_collapse else None
+    # (rate on x^j, rate on x^(j+1), E[(sign J)^i] for i = 0..n) of each active
+    # jump term; negation is exact, so a down-jump's sign folds into E bit for bit
+    jumps = [
+        (a[r], a[r + 1], law.moments_from_zero(n) * sign ** np.arange(n + 1.0))
+        for r, law, sign in ((0, spec.up, 1.0), (2, spec.down, -1.0))
+        if a[r] != 0.0 or a[r + 1] != 0.0
+    ]
+    ec = spec.collapse.moments(n) if a[9] != 0.0 else None
 
     rows, cols = _tril_indices(n)
     coef = np.zeros((n, n + 1))
@@ -523,24 +534,16 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     # Entry C(k, j) of row k multiplies x^j (rates a0, a2) or x^(j+1)
     # (rates a1, a3): flat positions at_j and at_j + 1 of the coefficients.
     at_j = rows * (n + 1) + cols
-    if need_up or need_down:
+    if jumps:
         _warn_inexact_binomials(n)
         pascal = _pascal_packed(n)
         gap = rows + 1 - cols  # k - j, the power of the jump size
-    if need_up:
-        up = ea[gap]
-        if a[0] != 0.0:
-            flat[at_j] += a[0] * pascal * up
-        if a[1] != 0.0:
-            flat[at_j + 1] += a[1] * pascal * up
-    if need_down:
-        # a down-jump contributes (-J)^(k-j); negation is exact, so folding
-        # the sign into E gives the same bits as applying it after a * C * E
-        dn = np.where(np.arange(n + 1) % 2 == 0, eb, -eb)[gap]
-        if a[2] != 0.0:
-            flat[at_j] += a[2] * pascal * dn
-        if a[3] != 0.0:
-            flat[at_j + 1] += a[3] * pascal * dn
+    for const, linear, moments in jumps:
+        e = moments[gap]
+        if const != 0.0:
+            flat[at_j] += const * pascal * e
+        if linear != 0.0:
+            flat[at_j + 1] += linear * pascal * e
 
     # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
     # the last)
@@ -557,7 +560,7 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
         x_k1[1:] += a[7] * kk1
     if a[8] != 0.0:
         x_k[1:] += a[8] * kk1
-    if need_collapse:
+    if ec is not None:
         x_k += a[9] * (ec - 1.0)
 
     system = CoefficientSystem(MatryoshkanMatrix(n, flat[at_j + 1]), coef[:, 0])

@@ -97,6 +97,9 @@ def test_criterion_3_performance_ordering():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BinomialPrecisionWarning)
         system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 100)
+    # an untimed call first: the first calls in a process with multithreaded
+    # BLAS also pay for starting its threads
+    mk.transient_vector(system, init, 10.0)
     closed_times = []
     for _ in range(3):
         c0 = time.perf_counter()

@@ -271,6 +271,9 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
     assert code == 2 and "--deltas" in err and "not a list of numbers" in err
+    # an active jump term without its law is rejected by the record
+    code, out, err = run(capsys, "moments", "--process", "generic", "--params", "a0=1", "--order", "1", "--time", "1")
+    assert code == 2 and out == "" and "a0/a1" in err
 
 
 FOREIGN_FLAGS = [
@@ -393,6 +396,25 @@ def test_steady_overflow_exits_three(capsys):
         capsys, "steady", "--process", "growthcollapse", "--params", "lambda=1e30,mu=1", "--order", "12"
     )
     assert code == 3 and out == "" and "Overflow" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", "exponential:1", "--order", "171", "--time", "1"],
+        ["moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", "exponential:1e-200", "--order", "3", "--time", "1"],
+        ["moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", "deterministic:1e200", "--order", "3", "--time", "1"],
+        ["moments", "--process", "generic", "--params", "a0=1,a5=-1", "--jumps-A", "exponential:1", "--order", "171", "--time", "1"],
+        ["steady", "--process", "generic", "--params", "a0=1,a5=-1", "--jumps-A", "exponential:1", "--order", "171"],
+        ["simulate", "--process", "ito", "--params", "mu=1,theta=1,sigma=1,gamma=2", "--order", "3", "--time", "1e9", "--paths", "10", "--seed", "1", "--sim-step", "1e8"],
+    ],
+)
+def test_moments_outside_the_double_range_exit_three(capsys, args):
+    # jump moments and sample moments past the double range are reported,
+    # not printed as Infinity and not a traceback
+    code, out, err = run(capsys, *args)
+    assert code == 3 and out == "" and err.startswith("error: Overflow: ") and "order" in err
+    assert "warning" not in err
 
 
 def test_bench_rejects_non_finite_deltas(capsys):

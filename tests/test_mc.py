@@ -140,6 +140,17 @@ def test_estimate_moments_degenerate_and_small_samples():
         mk.estimate_moments(np.array([]), 1)
 
 
+def test_estimate_moments_raise_overflow_past_the_double_range():
+    # squared deviations of about 1e400 at order 1, and of 1e598 at order 2
+    with pytest.raises(Overflow, match="order 1"):
+        mk.estimate_moments([1e200, 2e200, 3e200], 2)
+    with pytest.raises(Overflow, match="order 2"):
+        mk.estimate_moments([1.0e150, 1.1e150, 1.2e150], 2)
+    # and powers of 1e400 at order 2
+    with pytest.raises(Overflow, match="order 2"):
+        mk.estimate_moments([1e200, 1e200], 2)
+
+
 def test_estimate_moments_warns_on_wide_standard_error():
     rng = np.random.default_rng(1)
     sample = rng.lognormal(0.0, 2.0, 50)

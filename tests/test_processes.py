@@ -14,6 +14,7 @@ from matryoshkan.errors import (
     InsufficientMoments,
     InvalidInput,
     MomentSequenceWarning,
+    Overflow,
     UnsupportedGamma,
 )
 
@@ -142,6 +143,22 @@ def test_builtin_moment_sequences_are_log_convex(jumps):
     m = jumps.moments_from_zero(10)
     for k in range(1, 10):
         assert m[k + 1] * m[k - 1] >= m[k] ** 2 * (1.0 - 1e-12)
+
+
+def test_jump_moments_outside_the_double_range_raise_overflow():
+    # 171! and 2! / (1e-200)^2 leave the double range; 170! does not
+    assert mk.ExponentialJumps(1.0).moment(170) == float(math.factorial(170))
+    with pytest.raises(Overflow, match="order 171"):
+        mk.ExponentialJumps(1.0).moment(171)
+    with pytest.raises(Overflow, match="order 2"):
+        mk.ExponentialJumps(1e-200).moments(3)
+    # under error::RuntimeWarning, numpy's overflow warning would escape
+    with pytest.raises(Overflow, match="order 2"):
+        mk.DeterministicJumps(1e200).moments(3)
+    assert np.array_equal(mk.DeterministicJumps(1e100).moments(3), np.power(1e100, [1.0, 2.0, 3.0]))
+    spec = mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.ExponentialJumps(1.0))
+    with pytest.raises(Overflow):
+        mk.build(spec, 171)
 
 
 def test_explicit_moments_warn_when_invalid():
@@ -527,12 +544,14 @@ def test_build_rejects_unsupported_objects():
 
 
 def test_generic_requires_needed_moments():
-    spec = mk.GenericGeneratorSpec(coeffs=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(InsufficientMoments):
-        mk.build(spec, 2)
-    spec = mk.GenericGeneratorSpec(coeffs=(0.0,) * 9 + (1.0,))
-    with pytest.raises(InsufficientMoments):
-        mk.build(spec, 2)
+    # the record rejects an active jump term without its law when built
+    with pytest.raises(InsufficientMoments, match="a0/a1"):
+        mk.GenericGeneratorSpec(coeffs=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    for coeffs in ((0.0, 0.0, 1.0) + (0.0,) * 7, (0.0,) * 3 + (1.0,) + (0.0,) * 6):
+        with pytest.raises(InsufficientMoments, match="a2/a3"):
+            mk.GenericGeneratorSpec(coeffs=coeffs, up=mk.DeterministicJumps(1.0))
+    with pytest.raises(InsufficientMoments, match="a9"):
+        mk.GenericGeneratorSpec(coeffs=(0.0,) * 9 + (1.0,))
 
 
 # -- fractional gamma bracketing --------------------------------------------------
