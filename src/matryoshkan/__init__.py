@@ -27,7 +27,6 @@ from .engine import (
     validate,
 )
 from .errors import (
-    BinomialPrecisionWarning,
     DegenerateSpectrum,
     EstimatePrecisionWarning,
     InsufficientMoments,

@@ -56,10 +56,6 @@ class InsufficientMoments(InvalidInput):
     """A jump-size moment of the requested order is not available."""
 
 
-class BinomialPrecisionWarning(UserWarning):
-    """Binomial coefficients beyond 2**53 are no longer exactly representable."""
-
-
 class MomentSequenceWarning(UserWarning):
     """An explicit moment sequence fails a validity check for nonnegative variables."""
 

@@ -19,7 +19,6 @@ import numpy as np
 from .core import MatryoshkanMatrix, _tril_indices
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
-    BinomialPrecisionWarning,
     InsufficientMoments,
     InvalidInput,
     MomentSequenceWarning,
@@ -47,9 +46,6 @@ __all__ = [
     "pascal_matryoshkan",
 ]
 
-# Pascal-triangle rows stay exactly representable in binary64 up to row 56;
-# C(57, 28) exceeds 2**53.
-_BINOM_EXACT_MAX = 56
 # The entries C(k, 0..k-1) of rows k = 1, 2, ... packed row-major, in the
 # order of the matrix storage.  Order n reads the first n(n+1)/2 entries, so
 # one read-only buffer serves every order and only grows.
@@ -60,19 +56,7 @@ def binomial_row(n: int) -> np.ndarray:
     """Row n of Pascal's triangle, C(n, 0..n), by the additive recurrence."""
     if n < 0:
         raise InvalidInput(f"binomial row index must be >= 0, got {n}")
-    _warn_inexact_binomials(n)
     return np.append(_pascal_packed(n)[n * (n - 1) // 2 :], 1.0)
-
-
-def _warn_inexact_binomials(row: int) -> None:
-    """Warn, at the caller of the public function, past row 56."""
-    if row > _BINOM_EXACT_MAX:
-        warnings.warn(
-            "binomial coefficients beyond row 56 are no longer exactly "
-            "representable in double precision",
-            BinomialPrecisionWarning,
-            stacklevel=3,
-        )
 
 
 def _pascal_packed(n: int) -> np.ndarray:
@@ -112,22 +96,31 @@ def _require_finite(record) -> None:
 # -- jump-size moment providers --------------------------------------------
 
 
+def _in_range(law: str, moments: np.ndarray) -> np.ndarray:
+    """The moments E[J^1..J^n], or Overflow naming the first order whose
+    moment is not finite."""
+    finite = np.isfinite(moments)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise Overflow(f"{law} jump moment of order {k} leaves the double range")
+    return moments
+
+
 class JumpMoments:
     """Moment sequence E[J^k] of a nonnegative jump size.
 
-    Subclasses provide ``moment``; the built-in families also support
-    ``sample`` so the event-driven simulators can draw actual jumps.
+    Subclasses define ``moments(n)``, the sequence E[J^1..J^n]; the built-in
+    families also support ``sample`` so the event-driven simulators can draw
+    actual jumps.
     """
-
-    def moment(self, k: int) -> float:
-        raise NotImplementedError
 
     def moments(self, n: int) -> np.ndarray:
         """E[J^k] for k = 1..n."""
-        out = np.array([self.moment(k) for k in range(1, n + 1)])
-        if not np.all(np.isfinite(out)):
-            raise Overflow(f"jump moments overflow before order {n}")
-        return out
+        raise NotImplementedError
+
+    def moment(self, k: int) -> float:
+        """E[J^k] for one k >= 0, the last entry of ``moments_from_zero(k)``."""
+        return float(self.moments_from_zero(k)[-1])
 
     def moments_from_zero(self, n: int) -> np.ndarray:
         """E[J^k] for k = 0..n, with the k = 0 entry pinned to 1."""
@@ -148,16 +141,10 @@ class DeterministicJumps(JumpMoments):
         if self.size < 0:
             raise InvalidInput(f"jump size must be >= 0, got {self.size}")
 
-    def moment(self, k: int) -> float:
-        return float(self.size) ** k
-
     def moments(self, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             out = np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
-        if not math.isfinite(out[-1]):
-            k = int(np.argmin(np.isfinite(out))) + 1
-            raise Overflow(f"deterministic jump moment of order {k} overflows")
-        return out
+        return _in_range("deterministic", out)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -167,7 +154,7 @@ class DeterministicJumps(JumpMoments):
 
 @dataclass(frozen=True)
 class ExponentialJumps(JumpMoments):
-    """Exponential(rate r) jumps: E[J^k] = k! / r^k."""
+    """Exponential(rate r) jumps: E[J^k] = k! / r^k, correctly rounded."""
 
     rate: float
 
@@ -176,11 +163,21 @@ class ExponentialJumps(JumpMoments):
         if self.rate <= 0:
             raise InvalidInput(f"exponential rate must be > 0, got {self.rate}")
 
-    def moment(self, k: int) -> float:
-        try:
-            return math.factorial(k) / float(self.rate) ** k
-        except (OverflowError, ZeroDivisionError):
-            raise Overflow(f"exponential moment of order {k} leaves the double range") from None
+    def moments(self, n: int) -> np.ndarray:
+        # r = p / q exactly, so E[J^k] = k! q^k / p^k is one integer division,
+        # which rounds once and raises only when the quotient itself is too
+        # large; a log-convex sequence that overflows stays overflowed
+        p, q = float(self.rate).as_integer_ratio()
+        out = np.full(n, math.inf)
+        num = den = 1
+        for k in range(1, n + 1):
+            num *= k * q
+            den *= p
+            try:
+                out[k - 1] = num / den
+            except OverflowError:
+                break
+        return _in_range("exponential", out)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -198,12 +195,14 @@ class LogNormalJumps(JumpMoments):
         if self.scale < 0:
             raise InvalidInput(f"lognormal scale must be >= 0, got {self.scale}")
 
-    def moment(self, k: int) -> float:
-        arg = k * self.location + 0.5 * (k * self.scale) ** 2
-        try:
-            return math.exp(arg)
-        except OverflowError:
-            raise Overflow(f"lognormal moment of order {k} overflows") from None
+    def moments(self, n: int) -> np.ndarray:
+        out = np.full(n, math.inf)
+        for k in range(1, n + 1):
+            try:
+                out[k - 1] = math.exp(k * self.location + 0.5 * (k * self.scale) ** 2)
+            except OverflowError:
+                break
+        return _in_range("lognormal", out)
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.location, self.scale, size)
@@ -213,8 +212,8 @@ class LogNormalJumps(JumpMoments):
 class UniformJumps(JumpMoments):
     """Uniform(0, 1) jumps: E[J^k] = 1/(k+1)."""
 
-    def moment(self, k: int) -> float:
-        return 1.0 / (k + 1)
+    def moments(self, n: int) -> np.ndarray:
+        return 1.0 / np.arange(2.0, n + 2.0)
 
     def sample(self, rng, size=None):
         return rng.random(size)
@@ -254,13 +253,13 @@ class ExplicitJumps(JumpMoments):
                 )
                 break
 
-    def moment(self, k: int) -> float:
-        if k > len(self.values):
+    def moments(self, n: int) -> np.ndarray:
+        if n > len(self.values):
             raise InsufficientMoments(
                 f"explicit moments provided up to order {len(self.values)}, "
-                f"order {k} requested"
+                f"order {n} requested"
             )
-        return self.values[k - 1]
+        return np.array(self.values[:n])
 
 
 # -- parameter records ------------------------------------------------------
@@ -476,7 +475,6 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
     _check_order(n)
-    _warn_inexact_binomials(n)
     rows, cols = _tril_indices(n)
     gap = (rows + 1 - cols).astype(np.float64)
     return MatryoshkanMatrix(n, _pascal_packed(n) * np.power(float(a), gap))
@@ -490,7 +488,6 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
     Below the diagonal they are the packed order-(k-1) Pascal entries.
     """
     _check_order(k)
-    _warn_inexact_binomials(k - 1)
     rows, cols = _tril_indices(k)
     binom = np.ones(rows.shape[0])
     binom[rows > cols] = _pascal_packed(k - 1)
@@ -535,7 +532,6 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     # (rates a1, a3): flat positions at_j and at_j + 1 of the coefficients.
     at_j = rows * (n + 1) + cols
     if jumps:
-        _warn_inexact_binomials(n)
         pascal = _pascal_packed(n)
         gap = rows + 1 - cols  # k - j, the power of the jump size
     for const, linear, moments in jumps:

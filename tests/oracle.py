@@ -9,14 +9,23 @@ fails loudly instead of comparing against the wrong numbers.
 
 ``mpmath_transient`` computes a reference directly, for systems the cache
 does not hold, from ``mpmath.expm`` of the augmented generator.
+
+``spec_system`` and ``exact_transient`` start one step earlier, from the spec
+instead of the doubles ``build`` returns: the generator is applied to x^k in
+exact rational arithmetic, so the reference also measures the rounding of the
+built binomials, jump moments and initial powers.
 """
 
 import importlib
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
+
+from matryoshkan.processes import DeterministicJumps, ExplicitJumps, ExponentialJumps, UniformJumps
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 TINY = 1e-200  # entries below this magnitude are not compared relatively
@@ -26,6 +35,11 @@ def _benchmark_module(name: str):
     if str(BENCHMARKS) not in sys.path:
         sys.path.append(str(BENCHMARKS))
     return importlib.import_module(name)
+
+
+def benchmark_spec(mk, family: str):
+    """The spec of one of the benchmark's process families."""
+    return _benchmark_module("cells").make_spec(mk, family)
 
 
 def cached_transient_references(mk):
@@ -63,3 +77,79 @@ def mpmath_transient(system, init, t: float) -> list:
         E = mpmath.expm(mpmath.matrix(A.tolist()) * mpmath.mpf(t))
         v = [mpmath.mpf(1)] + [mpmath.mpf(x) for x in init.powers]
         return [mpmath.fsum(E[i, j] * v[j] for j in range(i + 1)) for i in range(1, n + 1)]
+
+
+def _exact_moments(law, n: int) -> list[Fraction]:
+    """E[J^0..J^n] of the laws whose moments are rational in their parameters."""
+    if isinstance(law, DeterministicJumps):
+        return [Fraction(law.size) ** k for k in range(n + 1)]
+    if isinstance(law, ExponentialJumps):
+        return [math.factorial(k) / Fraction(law.rate) ** k for k in range(n + 1)]
+    if isinstance(law, UniformJumps):
+        return [Fraction(1, k + 1) for k in range(n + 1)]
+    if isinstance(law, ExplicitJumps):
+        return [Fraction(1)] + [Fraction(v) for v in law.values[:n]]
+    raise TypeError(f"no exact moments for {type(law).__name__}")
+
+
+def spec_system(spec, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The moment system of ``spec`` to order n, exactly, and s(0).
+
+    Row k - 1 holds the coefficients of x^0..x^k in the generator applied to
+    x^k: rate(x) E[(x + J)^k - x^k] for up-jumps, the same with -J for
+    down-jumps, the drift times k x^(k-1), the diffusion coefficient times
+    k (k - 1) x^(k-2) and the collapse rate times (E[C^k] - 1) x^k.
+    """
+    g = spec.generator()
+    a = [Fraction(v) for v in g.coeffs]
+    jumps = [
+        (a[r], a[r + 1], _exact_moments(law, n), sign)
+        for r, law, sign in ((0, g.up, 1), (2, g.down, -1))
+        if a[r] or a[r + 1]
+    ]
+    collapse = _exact_moments(g.collapse, n) if a[9] else None
+    rows = []
+    for k in range(1, n + 1):
+        row = [Fraction(0)] * (k + 1)
+        for const, linear, moments, sign in jumps:
+            for j in range(k):
+                term = math.comb(k, j) * sign ** (k - j) * moments[k - j]
+                row[j] += const * term
+                row[j + 1] += linear * term
+        row[k - 1] += a[4] * k
+        row[k] += a[5] * k
+        if k >= 2:
+            row[k - 2] += a[6] * k * (k - 1)
+            row[k - 1] += a[7] * k * (k - 1)
+            row[k] += a[8] * k * (k - 1)
+        if collapse:
+            row[k] += a[9] * (collapse[k] - 1)
+        rows.append(row)
+    return rows, [Fraction(g.x0) ** k for k in range(1, n + 1)]
+
+
+def exact_transient(rows, initial, times, dps: int = 150) -> list[list]:
+    """Moments s(t) of ds/dt = c + T s, s(0) = initial, at each time, as mpf.
+
+    For distinct nonzero diagonals d_k each moment is an exponential
+    polynomial s_k = beta_k + sum_j alpha_kj e^(d_j t); substituting it into
+    row k gives beta_k and alpha_kj (j < k) from the rows above, and s_k(0)
+    gives alpha_kk.
+    """
+    with mpmath.workdps(dps):
+        mp = [[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows]
+        d = [row[-1] for row in mp]
+        if 0 in d or len(set(d)) < len(d):
+            raise ValueError("the exponential-polynomial solve needs distinct nonzero diagonals")
+        beta, alpha = [], []
+        for k, row in enumerate(mp):
+            beta.append(-(row[0] + mpmath.fsum(row[j + 1] * beta[j] for j in range(k))) / d[k])
+            ak = [mpmath.fsum(row[j + 1] * alpha[j][m] for j in range(m, k)) / (d[m] - d[k]) for m in range(k)]
+            start = mpmath.mpf(initial[k].numerator) / initial[k].denominator
+            ak.append(start - beta[k] - mpmath.fsum(ak))
+            alpha.append(ak)
+        out = []
+        for t in times:
+            e = [mpmath.exp(dk * mpmath.mpf(t)) for dk in d]
+            out.append([beta[k] + mpmath.fsum(ak[m] * e[m] for m in range(k + 1)) for k, ak in enumerate(alpha)])
+        return out

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
-from matryoshkan.errors import BinomialPrecisionWarning, EstimatePrecisionWarning
+from matryoshkan.errors import EstimatePrecisionWarning
 
 from conftest import random_matryoshkan, taylor_exp
 from reference_builders import reference_build, systems_equal
@@ -94,9 +94,7 @@ def test_criterion_2_decade_scaling_other_fixtures():
 
 def test_criterion_3_performance_ordering():
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 100)
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 100)
     # an untimed call first: the first calls in a process with multithreaded
     # BLAS also pay for starting its threads
     mk.transient_vector(system, init, 10.0)

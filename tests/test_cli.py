@@ -299,10 +299,6 @@ WARNING_CASES = {
         "simulate", "--process", "shotnoise", "--params", "lambda=1,beta=4",
         "--jumps", "exponential:2", "--order", "2", "--time", "1", "--paths", "20", "--seed", "1",
     ],
-    "BinomialPrecisionWarning": [
-        "moments", "--process", "ephemeral", "--params", "nu-star=1,alpha=2,mu=3",
-        "--order", "60", "--time", "1",
-    ],
 }
 
 

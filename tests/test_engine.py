@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ import matryoshkan as mk
 from matryoshkan.errors import InvalidInput, NonStationary, Overflow
 
 from conftest import FIXTURES, NONNEGATIVE, STABLE, build_fixture
-from oracle import cached_transient_references, worst_relative_error
+from oracle import benchmark_spec, cached_transient_references, exact_transient, spec_system, worst_relative_error
 
 
 def scalar_system(theta11, theta01):
@@ -136,7 +137,6 @@ def test_geometric_brownian_motion_moments(theta, sigma):
     assert mk.transient_scalar(system, init, t, n) == pytest.approx(out[-1], rel=1e-13)
 
 
-@pytest.mark.filterwarnings("ignore::matryoshkan.errors.BinomialPrecisionWarning")
 def test_transient_matches_mpmath_reference_on_every_cached_cell():
     # the cached references are mpmath eigen-expansions of the augmented
     # generator at 64+ digits (benchmarks/reference.py): six families, orders
@@ -151,6 +151,23 @@ def test_transient_matches_mpmath_reference_on_every_cached_cell():
         assert key in errors
     worst = sorted(errors.items(), key=lambda item: item[1])[-3:]
     assert worst[-1][1] <= 1e-14, worst
+
+
+@pytest.mark.parametrize("family", ["ephemeral", "generic", "hawkes"])
+def test_transient_matches_reference_built_from_the_spec(family):
+    # the reference applies the generator to x^k with exact binomials, jump
+    # moments and initial powers, so it also measures the rounding of build
+    # itself: binomials past row 56 round, and every entry a * C * E rounds
+    # at every order.  The order-60 system is the leading block of order 100.
+    spec = benchmark_spec(mk, family)
+    times = (0.01, 0.1, 1.0, 10.0)
+    ref = exact_transient(*spec_system(spec, 100), times)
+    for n in (60, 100):
+        system, init = mk.build(spec, n)
+        for t, exact in zip(times, ref):
+            values = mk.transient_vector(system, init, t).values
+            err = max(abs(float((mpmath.mpf(v) - r) / r)) for v, r in zip(values, exact[:n]))
+            assert err <= 1e-14, (n, t, err)
 
 
 def test_initial_powers_are_recomputable():

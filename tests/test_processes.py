@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 import matryoshkan as mk
 from matryoshkan import core
 from matryoshkan.errors import (
-    BinomialPrecisionWarning,
     InsufficientMoments,
     InvalidInput,
     MomentSequenceWarning,
@@ -29,11 +29,6 @@ def test_binomial_rows_exact_up_to_56():
     for n in (0, 1, 5, 23, 56):
         row = mk.processes.binomial_row(n)
         assert np.array_equal(row, [float(math.comb(n, k)) for k in range(n + 1)])
-
-
-def test_binomial_row_warns_past_exact_range():
-    with pytest.warns(BinomialPrecisionWarning):
-        mk.processes.binomial_row(57)
 
 
 def test_pascal_matryoshkan_unit():
@@ -97,26 +92,11 @@ def test_pascal_matryoshkan_from_lower():
     assert np.abs(mk.pascal_matryoshkan(n, a).dense() - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_pascal_lower_warns_once_at_the_caller():
-    # order 57 reads Pascal rows up to 56, all exact; order 62 reads the
-    # inexact rows 57..61 and warns once for the whole matrix, at this line
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mk.pascal_lower(57, 1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mk.pascal_lower(62, 1.0)
-    assert [w.category for w in caught] == [BinomialPrecisionWarning]
-    assert caught[0].filename == __file__
-
-
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.3])
 def test_pascal_lower_nests_bit_for_bit(a):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        big = mk.pascal_lower(100, a)
-        for j in range(1, 101):
-            assert big.leading(j).packed.tobytes() == mk.pascal_lower(j, a).packed.tobytes(), j
+    big = mk.pascal_lower(100, a)
+    for j in range(1, 101):
+        assert big.leading(j).packed.tobytes() == mk.pascal_lower(j, a).packed.tobytes(), j
 
 
 # -- jump moment providers ------------------------------------------------------
@@ -128,6 +108,20 @@ def test_jump_moment_values():
     assert mk.LogNormalJumps(0.0, 1.0).moment(3) == pytest.approx(math.exp(4.5), rel=1e-15)
     assert mk.UniformJumps().moment(3) == pytest.approx(0.25, rel=1e-15)
     assert mk.ExplicitJumps((0.5, 0.4)).moment(2) == 0.4
+    assert mk.ExplicitJumps((0.5, 0.4)).moment(0) == mk.UniformJumps().moment(0) == 1.0
+    # k! / r^k is one integer division of k! q^k by p^k for r = p / q, so a
+    # moment past 170! stays finite and a tiny one underflows to zero
+    assert mk.ExponentialJumps(2.0).moment(171) == 4.146186628330626e257
+    assert mk.ExponentialJumps(1e200).moment(2) == 0.0
+    # every finite exponential and uniform moment is correctly rounded
+    for rate in (0.7, 1.3, 2.5, 3, 5):
+        law = mk.ExponentialJumps(rate)
+        for k in range(1, 201):
+            exact = Fraction(math.factorial(k)) / Fraction(rate) ** k
+            if exact < Fraction(sys.float_info.max):
+                assert law.moment(k) == float(exact), (rate, k)
+    exact = [float(Fraction(1, k + 1)) for k in range(1, 201)]
+    assert mk.UniformJumps().moments(200).tolist() == exact
 
 
 @pytest.mark.parametrize(
@@ -155,6 +149,8 @@ def test_jump_moments_outside_the_double_range_raise_overflow():
     # under error::RuntimeWarning, numpy's overflow warning would escape
     with pytest.raises(Overflow, match="order 2"):
         mk.DeterministicJumps(1e200).moments(3)
+    with pytest.raises(Overflow, match="order 2"):
+        mk.DeterministicJumps(1e200).moment(2)
     assert np.array_equal(mk.DeterministicJumps(1e100).moments(3), np.power(1e100, [1.0, 2.0, 3.0]))
     spec = mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.ExponentialJumps(1.0))
     with pytest.raises(Overflow):
@@ -380,35 +376,17 @@ def test_generic_reproduces_specialized_builders(order):
 def test_build_matches_reference_on_fixtures(name):
     spec, _ = FIXTURES[name]
     orders = (10, 30) if name == "shotnoise" else (10, 30, 60, 100)
-    with warnings.catch_warnings():
-        # the reference rows read Pascal rows past 56, which warns
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        for order in orders:
-            assert systems_equal(mk.build(spec, order), reference_build(spec, order)), order
+    for order in orders:
+        assert systems_equal(mk.build(spec, order), reference_build(spec, order)), order
 
 
 def test_build_without_jumps_does_not_warn_on_binomials():
-    # drift, diffusion and collapse rows need no Pascal row, so no
-    # precision warning fires past row 56
+    # drift, diffusion and collapse rows past order 56 build without any
+    # warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mk.build(mk.ItoSpec(1.0, 1.0, 1.0, 1.0, 1.0), 60)
         mk.build(mk.GrowthCollapseSpec(1.0, 0.5), 60)
-
-
-def test_build_warns_on_binomials_exactly_past_row_56():
-    # a jump term reads Pascal row n; rows up to 56 are exact
-    up_only = mk.HawkesSpec(1.0, 1.0, 2.0)
-    down_only = mk.GenericGeneratorSpec(
-        coeffs=(0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.3, 0.0, 0.0),
-        down=mk.DeterministicJumps(1.0),
-    )
-    for spec in (up_only, down_only):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mk.build(spec, 56)
-        with pytest.warns(BinomialPrecisionWarning):
-            mk.build(spec, 57)
 
 
 def _bits(built):
@@ -468,10 +446,8 @@ def test_build_matches_row_loop_on_generic_draws(order):
     # lognormal moments exp(k m + k^2 s^2 / 2) stay finite only to order 37
     cases = [spec for lognormal, spec in GENERIC_DRAWS if order <= 37 or not lognormal]
     assert len(cases) == (25 if order <= 37 else 13)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        for i, spec in enumerate(cases):
-            assert _bits(mk.build(spec, order)) == _bits(reference_generic_build(spec, order)), i
+    for i, spec in enumerate(cases):
+        assert _bits(mk.build(spec, order)) == _bits(reference_generic_build(spec, order)), i
 
 
 NESTING_SPECS = {
@@ -490,17 +466,15 @@ NESTING_SPECS = {
 def test_build_nests_bit_for_bit(name):
     spec = NESTING_SPECS[name]
     n = 37 if name == "shotnoise" else 100
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        system, init = mk.build(spec, n)
-        for k in (1, 2, 56, 57, n - 1):
-            if k > n:
-                continue
-            prefix = (system.theta.leading(k), system.theta0[:k], init.powers[:k])
-            small, small_init = mk.build(spec, k)
-            assert prefix[0].packed.tobytes() == small.theta.packed.tobytes(), k
-            assert prefix[1].tobytes() == small.theta0.tobytes(), k
-            assert prefix[2].tobytes() == small_init.powers.tobytes(), k
+    system, init = mk.build(spec, n)
+    for k in (1, 2, 56, 57, n - 1):
+        if k > n:
+            continue
+        prefix = (system.theta.leading(k), system.theta0[:k], init.powers[:k])
+        small, small_init = mk.build(spec, k)
+        assert prefix[0].packed.tobytes() == small.theta.packed.tobytes(), k
+        assert prefix[1].tobytes() == small.theta0.tobytes(), k
+        assert prefix[2].tobytes() == small_init.powers.tobytes(), k
 
 
 def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
@@ -508,9 +482,7 @@ def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
     # together must each read complete prefixes of the size they asked for
     specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.EphemeralSpec(1.0, 2.0, 3.0)]
     orders = [100, 12, 57, 80, 3, 64, 99, 40]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BinomialPrecisionWarning)
-        expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
+    expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
     for attempt in range(20):
         monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty(0))
         monkeypatch.setattr(core, "_TRIL", (np.empty(0, np.intp), np.empty(0, np.intp)))
@@ -526,12 +498,10 @@ def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", BinomialPrecisionWarning)
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
