@@ -14,7 +14,7 @@ and the stationary vector solves 0 = T s + c by forward substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,25 @@ __all__ = [
 #: Distinguished time value carried by stationary moment vectors.
 STATIONARY = "stationary"
 
-_OVERFLOW_LIMIT = 1e300
+
+def _overflow_order(values: np.ndarray) -> int | None:
+    """The first order whose value is not a finite double, or None: a value
+    overflows exactly when it is not finite."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite)) + 1
+
+
+def _in_range(what: str, values: np.ndarray) -> np.ndarray:
+    """The values, or Overflow naming the first order that overflows."""
+    k = _overflow_order(values)
+    if k is not None:
+        raise Overflow(f"{what} of order {k} leaves the double range")
+    return values
+
+
+def _check_moment_order(system: CoefficientSystem, n: int) -> None:
+    if not 1 <= n <= system.order:
+        raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +148,8 @@ def transient_vector(
     if t == 0.0:
         return MomentVector(0.0, init.powers)
     values = core._affine_flow(system.theta, system.theta0, init.powers, t)
-    if not np.all(np.isfinite(values)):
+    # the dense product spreads one overflowed order over all, so name none
+    if _overflow_order(values) is not None:
         raise Overflow("transient moments exceeded the double-precision range")
     return MomentVector(t, values)
 
@@ -139,38 +158,47 @@ def transient_scalar(
     system: CoefficientSystem, init: InitialMomentVector, t: float, n: int
 ) -> float:
     """The n-th moment at time t, from the leading order-n system alone."""
-    if not 1 <= n <= system.order:
-        raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
+    _check_moment_order(system, n)
     head = InitialMomentVector(init.x0, init.powers[:n])
     return float(transient_vector(system.leading(n), head, t).values[-1])
 
 
+def _diagonal_signs(theta: MatryoshkanMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions (from 1) of the zero and of the positive diagonal entries."""
+    d = theta.diagonal()
+    zero, positive = [], []
+    for i in np.flatnonzero(d >= 0.0):
+        (zero if d[i] == 0.0 else positive).append(int(i) + 1)
+    return tuple(zero), tuple(positive)
+
+
 def _require_stable(system: CoefficientSystem) -> None:
-    d = system.theta.diagonal()
-    bad = np.flatnonzero(d >= 0.0)
-    if bad.size:
-        k = int(bad[0]) + 1
-        detail = "zero" if d[bad[0]] == 0.0 else "nonnegative"
+    zero, positive = _diagonal_signs(system.theta)
+    if zero or positive:
+        k = min(zero + positive)
+        detail = "zero" if k in zero else "nonnegative"
         raise NonStationary(
             f"{detail} diagonal entry at position {k}: no stationary moments"
         )
 
 
+def _stationary(system: CoefficientSystem) -> np.ndarray:
+    """The forward substitution 0 = T s + c; past the double range it gives
+    infinities or NaN, which the callers read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return core.solve_lower(system.theta, -system.theta0)
+
+
 def steady_vector(system: CoefficientSystem) -> MomentVector:
     """Stationary moments solving 0 = T s + c by forward substitution."""
     _require_stable(system)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = core.solve_lower(system.theta, -system.theta0)
-    if not np.all(np.isfinite(values)):
-        raise Overflow("stationary moments exceeded the double-precision range")
-    return MomentVector(STATIONARY, values)
+    return MomentVector(STATIONARY, _in_range("stationary moment", _stationary(system)))
 
 
 def steady_nth(system: CoefficientSystem, n: int) -> float:
     """The n-th stationary moment, from the leading order-n system alone."""
     _require_stable(system)
-    if not 1 <= n <= system.order:
-        raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
+    _check_moment_order(system, n)
     return steady_vector(system.leading(n)).values[-1]
 
 
@@ -179,64 +207,54 @@ class ValidationReport:
     """Diagnostics for a coefficient system; never raises."""
 
     order: int
-    triangular: bool
     zero_diagonals: tuple[int, ...]
     positive_diagonals: tuple[int, ...]
     coincident_pairs: tuple[tuple[int, int], ...]
-    stationary: bool
-    singular: bool
-    distinct: bool
     predicted_overflow_order: int | None
-    _lines: tuple[str, ...] = field(default=(), repr=False)
+
+    # packed storage is lower triangular by construction
+    triangular = True
+
+    @property
+    def singular(self) -> bool:
+        return bool(self.zero_diagonals)
+
+    @property
+    def stationary(self) -> bool:
+        return not self.zero_diagonals and not self.positive_diagonals
+
+    @property
+    def distinct(self) -> bool:
+        return not self.coincident_pairs
 
     def describe(self) -> str:
-        return "\n".join(self._lines)
+        lines = [f"order: {self.order}", "triangular: yes"]
+        if self.stationary:
+            lines.append("stationary: yes")
+        elif self.singular:
+            lines.append("stationary: no; singular")
+        else:
+            lines.append("stationary: no; nonnegative diagonal")
+        if self.zero_diagonals:
+            lines.append(f"zero diagonals: {list(self.zero_diagonals)}")
+        if self.positive_diagonals:
+            lines.append(f"positive diagonals: {list(self.positive_diagonals)}")
+        if self.coincident_pairs:
+            lines.append(f"coincident diagonals: {[list(p) for p in self.coincident_pairs]}")
+        if self.predicted_overflow_order is not None:
+            lines.append(f"predicted overflow order: {self.predicted_overflow_order}")
+        return "\n".join(lines)
 
 
 def validate(system: CoefficientSystem) -> ValidationReport:
-    """Report triangularity, diagonal sign/coincidence issues, and the
-    smallest order whose stationary magnitude estimate exceeds 1e300."""
-    theta = system.theta
-    d = theta.diagonal()
-    zero = tuple(int(i) + 1 for i in np.flatnonzero(d == 0.0))
-    positive = tuple(int(i) + 1 for i in np.flatnonzero(d > 0.0))
-    pairs = theta.coincident_pairs()
-    singular = bool(zero)
-    stationary = not zero and not positive
-    overflow_order = None
-    if stationary:
-        # The stationary substitution; the first magnitude past 1e300, or NaN, wins.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = core.solve_lower(theta, -system.theta0)
-        bad = np.flatnonzero(~(np.abs(values) <= _OVERFLOW_LIMIT))
-        if bad.size:
-            overflow_order = int(bad[0]) + 1
-
-    lines = [f"order: {system.order}", "triangular: yes"]
-    if stationary:
-        lines.append("stationary: yes")
-    elif singular:
-        lines.append("stationary: no; singular")
-    else:
-        lines.append("stationary: no; nonnegative diagonal")
-    if zero:
-        lines.append(f"zero diagonals: {list(zero)}")
-    if positive:
-        lines.append(f"positive diagonals: {list(positive)}")
-    if pairs:
-        lines.append(f"coincident diagonals: {[list(p) for p in pairs]}")
-    if overflow_order is not None:
-        lines.append(f"predicted overflow order: {overflow_order}")
-
+    """Report the zero, positive and coincident diagonals and, for a stable
+    system, the first order at which ``steady_vector`` overflows."""
+    zero, positive = _diagonal_signs(system.theta)
+    stable = not zero and not positive
     return ValidationReport(
         order=system.order,
-        triangular=True,
         zero_diagonals=zero,
         positive_diagonals=positive,
-        coincident_pairs=pairs,
-        stationary=stationary,
-        singular=singular,
-        distinct=not pairs,
-        predicted_overflow_order=overflow_order,
-        _lines=tuple(lines),
+        coincident_pairs=system.theta.coincident_pairs(),
+        predicted_overflow_order=_overflow_order(_stationary(system)) if stable else None,
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    _OVERFLOW_LIMIT, CoefficientSystem, InitialMomentVector, MomentVector, transient_vector,
+    CoefficientSystem, InitialMomentVector, MomentVector, _check_moment_order, _overflow_order,
+    transient_vector,
 )
 from .errors import InvalidInput, Overflow
 
@@ -53,8 +54,8 @@ def euler_solve(
     """Iterate s <- s + step * (T s + c) from the initial powers.
 
     The per-step cost is one triangular matrix-vector product, O(n^2).
-    Components past 1e300 raise Overflow (the step is too coarse for the
-    stiffest diagonal).
+    A component that is no longer finite raises Overflow (the step is too
+    coarse for the stiffest diagonal).
     """
     if init.order != system.order:
         raise InvalidInput(
@@ -63,38 +64,34 @@ def euler_solve(
     steps = cfg.steps
     s = init.powers.copy()
     n = system.order
+    h = cfg.step
     if n == 1:
         # scalar fast path; the generic loop below spends its time on
         # numpy call overhead at this size
         t11 = float(system.theta.packed[0])
         c1 = float(system.theta0[0])
         x = float(s[0])
-        h = cfg.step
         for _ in range(steps):
             x += h * (t11 * x + c1)
-            if x > _OVERFLOW_LIMIT or x < -_OVERFLOW_LIMIT:
-                raise Overflow("Euler iteration left the double-precision range")
-        return MomentVector(cfg.horizon, np.array([x]))
-    T = system.theta.dense()
-    c = system.theta0
-    h = cfg.step
-    r = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            np.dot(T, s, out=r)
-            r += c
-            r *= h
-            s += r
-            if (k & (_CHECK_EVERY - 1)) == 0 and not _bounded(s):
-                raise Overflow("Euler iteration left the double-precision range")
-    if not _bounded(s):
+            if not math.isfinite(x):
+                break
+        s = np.array([x])
+    else:
+        T = system.theta.dense()
+        c = system.theta0
+        r = np.empty(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                np.dot(T, s, out=r)
+                r += c
+                r *= h
+                s += r
+                if (k & (_CHECK_EVERY - 1)) == 0 and _overflow_order(s) is not None:
+                    break
+    # one overflowed order turns every order to NaN through T s, so name none
+    if _overflow_order(s) is not None:
         raise Overflow("Euler iteration left the double-precision range")
     return MomentVector(cfg.horizon, s)
-
-
-def _bounded(s: np.ndarray) -> bool:
-    m = float(np.max(np.abs(s)))
-    return np.isfinite(m) and m <= _OVERFLOW_LIMIT
 
 
 def error_metrics(
@@ -146,47 +143,27 @@ def bench(
     """
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")
-    if not 1 <= n <= system.order:
-        raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
+    _check_moment_order(system, n)
 
-    closed_times = []
-    closed = None
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        closed = transient_vector(system, init, t)
-        closed_times.append(time.perf_counter() - t0)
-    records = [
-        BenchRecord(
-            method="closed-form",
-            delta=None,
-            run_time_seconds=float(np.mean(closed_times)),
-            run_time_median_seconds=float(np.median(closed_times)),
-            abs_error=0.0,
-            rel_error=0.0,
-            order=n,
-            trials=trials,
-        )
-    ]
+    closed, mean, median = _timed(trials, transient_vector, system, init, t)
+    records = [BenchRecord("closed-form", None, mean, median, 0.0, 0.0, n, trials)]
     for delta in deltas:
         cfg = EulerConfig(step=float(delta), horizon=t)
-        times = []
-        stepped = None
-        for _ in range(trials):
-            t0 = time.perf_counter()
-            stepped = euler_solve(system, init, cfg)
-            times.append(time.perf_counter() - t0)
+        stepped, mean, median = _timed(trials, euler_solve, system, init, cfg)
         abs_err, rel_err = error_metrics(stepped, closed)
-        rel_n = rel_err[n - 1]
+        rel_n = None if np.isnan(rel_err[n - 1]) else float(rel_err[n - 1])
         records.append(
-            BenchRecord(
-                method="euler",
-                delta=float(delta),
-                run_time_seconds=float(np.mean(times)),
-                run_time_median_seconds=float(np.median(times)),
-                abs_error=float(abs_err[n - 1]),
-                rel_error=None if np.isnan(rel_n) else float(rel_n),
-                order=n,
-                trials=trials,
-            )
+            BenchRecord("euler", float(delta), mean, median, float(abs_err[n - 1]), rel_n, n, trials)
         )
     return records
+
+
+def _timed(trials: int, fn, *args):
+    """The last of ``trials`` sequential calls fn(*args), with the mean and
+    the median of their wall times."""
+    times = []
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+    return out, float(np.mean(times)), float(np.median(times))

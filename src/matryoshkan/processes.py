@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import MatryoshkanMatrix, _tril_indices
-from .engine import CoefficientSystem, InitialMomentVector
+from .engine import CoefficientSystem, InitialMomentVector, _in_range
 from .errors import (
     InsufficientMoments,
     InvalidInput,
     MomentSequenceWarning,
-    Overflow,
     UnsupportedGamma,
 )
 
@@ -96,16 +95,6 @@ def _require_finite(record) -> None:
 # -- jump-size moment providers --------------------------------------------
 
 
-def _in_range(law: str, moments: np.ndarray) -> np.ndarray:
-    """The moments E[J^1..J^n], or Overflow naming the first order whose
-    moment is not finite."""
-    finite = np.isfinite(moments)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
-        raise Overflow(f"{law} jump moment of order {k} leaves the double range")
-    return moments
-
-
 class JumpMoments:
     """Moment sequence E[J^k] of a nonnegative jump size.
 
@@ -144,7 +133,7 @@ class DeterministicJumps(JumpMoments):
     def moments(self, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             out = np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
-        return _in_range("deterministic", out)
+        return _in_range("deterministic jump moment", out)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -177,7 +166,7 @@ class ExponentialJumps(JumpMoments):
                 out[k - 1] = num / den
             except OverflowError:
                 break
-        return _in_range("exponential", out)
+        return _in_range("exponential jump moment", out)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
@@ -202,7 +191,7 @@ class LogNormalJumps(JumpMoments):
                 out[k - 1] = math.exp(k * self.location + 0.5 * (k * self.scale) ** 2)
             except OverflowError:
                 break
-        return _in_range("lognormal", out)
+        return _in_range("lognormal jump moment", out)
 
     def sample(self, rng, size=None):
         return rng.lognormal(self.location, self.scale, size)

@@ -10,7 +10,7 @@ fails loudly instead of comparing against the wrong numbers.
 ``mpmath_transient`` computes a reference directly, for systems the cache
 does not hold, from ``mpmath.expm`` of the augmented generator.
 
-``spec_system`` and ``exact_transient`` start one step earlier, from the spec
+``spec_system``, ``exact_steady`` and ``exact_transient`` start one step earlier, from the spec
 instead of the doubles ``build`` returns: the generator is applied to x^k in
 exact rational arithmetic, so the reference also measures the rounding of the
 built binomials, jump moments and initial powers.
@@ -128,22 +128,36 @@ def spec_system(spec, n: int) -> tuple[list[list[Fraction]], list[Fraction]]:
     return rows, [Fraction(g.x0) ** k for k in range(1, n + 1)]
 
 
+def _mpf_rows(rows) -> list[list]:
+    return [[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows]
+
+
+def exact_steady(rows, dps: int = 150) -> list:
+    """The stationary vector beta of ds/dt = c + T s, the solution of
+    0 = c + T beta by forward substitution at ``dps`` digits, as mpf."""
+    with mpmath.workdps(dps):
+        beta = []
+        for k, row in enumerate(_mpf_rows(rows)):
+            beta.append(-(row[0] + mpmath.fsum(row[j + 1] * beta[j] for j in range(k))) / row[-1])
+        return beta
+
+
 def exact_transient(rows, initial, times, dps: int = 150) -> list[list]:
     """Moments s(t) of ds/dt = c + T s, s(0) = initial, at each time, as mpf.
 
     For distinct nonzero diagonals d_k each moment is an exponential
-    polynomial s_k = beta_k + sum_j alpha_kj e^(d_j t); substituting it into
-    row k gives beta_k and alpha_kj (j < k) from the rows above, and s_k(0)
-    gives alpha_kk.
+    polynomial s_k = beta_k + sum_j alpha_kj e^(d_j t), with beta from
+    ``exact_steady``; substituting it into row k gives alpha_kj (j < k) from
+    the rows above, and s_k(0) gives alpha_kk.
     """
     with mpmath.workdps(dps):
-        mp = [[mpmath.mpf(v.numerator) / v.denominator for v in row] for row in rows]
+        mp = _mpf_rows(rows)
         d = [row[-1] for row in mp]
         if 0 in d or len(set(d)) < len(d):
             raise ValueError("the exponential-polynomial solve needs distinct nonzero diagonals")
-        beta, alpha = [], []
+        beta = exact_steady(rows, dps)
+        alpha = []
         for k, row in enumerate(mp):
-            beta.append(-(row[0] + mpmath.fsum(row[j + 1] * beta[j] for j in range(k))) / d[k])
             ak = [mpmath.fsum(row[j + 1] * alpha[j][m] for j in range(m, k)) / (d[m] - d[k]) for m in range(k)]
             start = mpmath.mpf(initial[k].numerator) / initial[k].denominator
             ak.append(start - beta[k] - mpmath.fsum(ak))

@@ -394,6 +394,16 @@ def test_steady_overflow_exits_three(capsys):
     assert code == 3 and out == "" and "Overflow" in err
 
 
+def test_bench_of_finite_moments_past_1e300_exits_zero(capsys):
+    # the closed form and Euler both reach 3.99e307 at order 10, and both
+    # report it, as `moments` does
+    code, out, err = run(
+        capsys, "bench", "--process", "growthcollapse", "--params", "lambda=1e30,mu=1",
+        "--order", "10", "--time", "200", "--deltas", "1e-2", "--trials", "1",
+    )
+    assert code == 0 and err == "" and out.splitlines()[2].startswith("euler")
+
+
 @pytest.mark.parametrize(
     "args",
     [

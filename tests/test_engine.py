@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -8,7 +9,9 @@ import matryoshkan as mk
 from matryoshkan.errors import InvalidInput, NonStationary, Overflow
 
 from conftest import FIXTURES, NONNEGATIVE, STABLE, build_fixture
-from oracle import benchmark_spec, cached_transient_references, exact_transient, spec_system, worst_relative_error
+from oracle import (
+    benchmark_spec, cached_transient_references, exact_steady, exact_transient, spec_system, worst_relative_error,
+)
 
 
 def scalar_system(theta11, theta01):
@@ -259,12 +262,46 @@ def test_steady_overflow_raises():
     # growth-collapse moments grow like (n+1)! 1e30^n: order 11 leaves the
     # double range, which must raise, not return infinities or warn
     system, _ = mk.build(mk.GrowthCollapseSpec(1e30, 1.0), 12)
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match="order 11"):
         mk.steady_vector(system)
     with pytest.raises(Overflow):
         mk.steady_nth(system, 12)
     assert np.all(np.isfinite(mk.steady_vector(system.leading(10)).values))
-    assert mk.validate(system).predicted_overflow_order == 10
+    assert mk.validate(system).predicted_overflow_order == 11
+
+
+@pytest.mark.parametrize("family", ["hawkes", "ephemeral", "growthcollapse", "generic"])
+def test_steady_matches_exact_substitution_on_the_spec(family):
+    # the stationary vector of the exact spec system, at 150 digits; the
+    # order-n system is the leading block of order 100
+    spec = benchmark_spec(mk, family)
+    beta = exact_steady(spec_system(spec, 100)[0])
+    for n in (10, 30, 60, 100):
+        values = mk.steady_vector(mk.build(spec, n)[0]).values
+        err = max(abs(float((mpmath.mpf(v) - b) / b)) for v, b in zip(values, beta))
+        assert err <= 1e-14, (n, err)
+
+
+@pytest.mark.parametrize(
+    "family, order",
+    [("growthcollapse-1e30", 12), ("shotnoise", 10), ("shotnoise", 37)]
+    + [(f, n) for f in ("hawkes", "growthcollapse", "ephemeral", "generic") for n in (10, 100)],
+)
+def test_predicted_overflow_order_is_where_steady_vector_raises(family, order):
+    # validate reads the same stationary solve that steady_vector runs
+    if family == "growthcollapse-1e30":
+        spec = mk.GrowthCollapseSpec(1e30, 1.0)
+    else:
+        spec = benchmark_spec(mk, family)
+    system, _ = mk.build(spec, order)
+    first = None
+    for k in range(1, order + 1):
+        try:
+            mk.steady_vector(system.leading(k))
+        except Overflow:
+            first = k
+            break
+    assert mk.validate(system).predicted_overflow_order == first
 
 
 # -- invariants ------------------------------------------------------------------
@@ -345,9 +382,12 @@ def test_validate_predicts_overflow_order():
     spec = mk.GrowthCollapseSpec(growth=1e30, collapse_rate=1.0)
     system, _ = mk.build(spec, 12)
     report = mk.validate(system)
-    # stationary moments are (n+1)! (growth/rate)^n, so 1e300 falls inside
-    assert report.predicted_overflow_order == 10
-    assert "predicted overflow order: 10" in report.describe()
+    # stationary moments are (n+1)! (growth/rate)^n: 3.99e307 at order 10 is
+    # a finite double, and order 11 is the first past the double maximum
+    beta = exact_steady(spec_system(spec, 12)[0])
+    assert [k for k, b in enumerate(beta, 1) if abs(b) > sys.float_info.max][0] == 11
+    assert report.predicted_overflow_order == 11
+    assert "predicted overflow order: 11" in report.describe()
 
 
 def test_validate_never_raises_on_coincident_diagonals():

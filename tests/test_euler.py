@@ -79,6 +79,15 @@ def test_overflow_on_unstable_step():
         mk.euler_solve(system, init, mk.EulerConfig(step=1.0, horizon=2000.0))
 
 
+def test_stable_run_past_1e300_returns_finite_values():
+    # growth-collapse order 10 settles at 3.99e307: a finite double, not an
+    # overflow
+    system, init = mk.build(mk.GrowthCollapseSpec(1e30, 1.0), 10)
+    out = mk.euler_solve(system, init, mk.EulerConfig(step=1e-2, horizon=200.0))
+    assert np.all(np.isfinite(out.values))
+    assert out.values[-1] > 1e307
+
+
 def test_error_metrics_examples():
     a = mk.MomentVector(1.0, [2.1])
     b = mk.MomentVector(1.0, [2.0])

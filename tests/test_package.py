@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +25,20 @@ def test_import_loads_numpy_only():
 def test_every_exported_name_exists(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "matryoshkan").glob("*.py") if p.name != "__init__.py"))
+def test_no_unused_imports(path):
+    # no linter is a dependency; a name a module imports and never reads is
+    # most often left behind by a deletion
+    tree = ast.parse((SRC / "matryoshkan" / path).read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in used} == {}
