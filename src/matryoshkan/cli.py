@@ -9,8 +9,7 @@ coefficient tuple.  Whatever is omitted takes the record's own default.
 Documents go to standard output as JSON ({"metadata": ..., "payload": ...})
 or CSV with fixed schemas; diagnostics go to standard error, one line per
 library warning or error.  Exit codes:
-0 success, 2 invalid parameters, 3 numerical failure (named in the message;
-in practice Overflow, when moments leave the double range).
+0 success, 2 invalid parameters, 3 Overflow (moments left the double range).
 
 Floats are serialized with repr, which round-trips exactly (up to 17
 significant digits), so re-parsing and re-emitting a document is a byte
@@ -26,13 +25,7 @@ import sys
 import warnings
 
 from . import __version__, engine, euler, mc, processes
-from .errors import (
-    DegenerateSpectrum,
-    InvalidInput,
-    MatryoshkanError,
-    Overflow,
-    SingularMatrix,
-)
+from .errors import InvalidInput, MatryoshkanError, Overflow
 
 # --process name -> (parameter record, required --params key -> record field,
 # descriptor flag -> record field).
@@ -72,7 +65,7 @@ def main(argv=None) -> int:
     except _CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateSpectrum, SingularMatrix, Overflow) as exc:
+    except Overflow as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except MatryoshkanError as exc:

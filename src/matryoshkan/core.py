@@ -10,10 +10,7 @@ the leading block built so far and one division, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
 row i of the dense Taylor exponential of the leading (i+1)-block, evaluated
-without a linear solve.  The same Taylor kernel serves the moment engine's
-transient solution: ``_affine_flow`` applies the exponential of the augmented
-generator by graded scaling and squaring.  None of these needs a distinct
-spectrum.
+without a linear solve.  None of these needs a distinct spectrum.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -83,10 +80,6 @@ def _taylor_coefficients(p: int, q: int) -> np.ndarray:
 
 
 _TAYLOR_COEF = tuple(_taylor_coefficients(p, q) for p, q, _ in _TAYLOR_DEGREES)
-_LOG_EPS = math.log(np.finfo(np.float64).eps)
-# Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
-# is identically zero and takes the lowest.
-_GRADE_EXP = 1000
 
 
 # Row and column of every packed entry: np.tril_indices(N) for the largest
@@ -99,6 +92,13 @@ _TRIL = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
 def _check_order(order: int) -> None:
     if order < 1:
         raise InvalidDimension(f"order must be >= 1, got {order}")
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only flat float64 copy of ``values``."""
+    out = np.asarray(values, dtype=np.float64).reshape(-1).copy()
+    out.setflags(write=False)
+    return out
 
 
 def _packed_size(order: int) -> int:
@@ -132,13 +132,12 @@ class MatryoshkanMatrix:
 
     def __init__(self, order: int, packed):
         _check_order(order)
-        data = np.asarray(packed, dtype=np.float64).reshape(-1).copy()
+        data = _frozen(packed)
         if data.shape[0] != _packed_size(order):
             raise InvalidDimension(
                 f"order {order} needs {_packed_size(order)} packed entries, "
                 f"got {data.shape[0]}"
             )
-        data.setflags(write=False)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "_dense", None)
@@ -203,9 +202,7 @@ class MatryoshkanMatrix:
         """The diagonal entries, which are also the eigenvalues."""
         if self._diag is None:
             idx = np.arange(1, self.order + 1)
-            d = self._data[idx * (idx + 1) // 2 - 1].copy()
-            d.setflags(write=False)
-            object.__setattr__(self, "_diag", d)
+            object.__setattr__(self, "_diag", _frozen(self._data[idx * (idx + 1) // 2 - 1]))
         return self._diag
 
     def sub_row(self, i: int) -> np.ndarray:
@@ -456,68 +453,6 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
     return MatryoshkanMatrix(n, E[_tril_indices(n)])
-
-
-def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Power-of-two exponents e_k of a diagonal similarity for e^{A t} v.
-
-    Component k is scaled by its heaviest generator path from row 0 or from
-    v, the p-th jump into component k weighing |a_kj| min(t/p, 1/|a_kk|):
-    within time t a path of p jumps carries t^p/p!, and a decaying component
-    holds at most 1/|a_kk| of its inflow.  Each component keeps only its
-    heaviest path, so row k reads rows <= k alone, and the pass works in
-    logarithms so that no weight underflows.
-    """
-    with np.errstate(divide="ignore"):
-        log_a = np.log(np.abs(A))
-        log_w = np.log(np.abs(v))
-        log_hold = -np.log(np.abs(np.diagonal(A)))
-    log_t = math.log(t)
-    jumps = [0] * A.shape[0]
-    log_next = np.full(A.shape[0], log_t)  # log(t / (jumps + 1)), the next jump's time factor
-    for k in range(1, A.shape[0]):
-        cand = np.minimum(log_next[:k], log_hold[k])
-        cand += log_w[:k]
-        cand += log_a[k, :k]
-        j = int(cand.argmax())
-        if cand[j] > log_w[k]:
-            log_w[k] = cand[j]
-            jumps[k] = jumps[j] + 1
-            log_next[k] = log_t - math.log(jumps[k] + 1)
-    e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -_GRADE_EXP)
-    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int64)
-
-
-def _affine_flow(m: MatryoshkanMatrix, shift: np.ndarray, init: np.ndarray, t: float) -> np.ndarray:
-    """s(t) for s' = M s + shift, s(0) = init, with t > 0.
-
-    s(t) is rows 1..n of e^{A t} [1; init] for the augmented generator
-    A = [[0, 0], [shift, M]] (Van Loan, IEEE TAC 23, 1978), which needs no
-    resolvent and no distinct spectrum.  The exponential is graded: the
-    grading D = diag(2^e) makes every component of D^{-1} e^{At} [1; init] of
-    order one, and ``_taylor_exp`` exponentiates B = D^{-1} A t D.  Powers of
-    two keep the grading exact.
-
-    Once every e^{d_k t} is below machine epsilon, the origin moves to the
-    stationary point s_inf, so the flow carries only the small remainder
-    init - s_inf and near-stationary moments stay a smooth function of t.
-    Entries that leave the double range come back non-finite.
-    """
-    n = m.order
-    with np.errstate(over="ignore", invalid="ignore"):
-        anchor = None
-        if np.all(m.diagonal() * t <= _LOG_EPS):
-            anchor = solve_lower(m, -shift)
-            shift = m.dense() @ anchor + shift
-            init = init - anchor
-        A = np.zeros((n + 1, n + 1))
-        A[1:, 0] = shift
-        A[1:, 1:] = m.dense()
-        v = np.concatenate(([1.0], init))
-        e = _grading(A, v, t)
-        R = _taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
-        flow = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
-        return flow if anchor is None else anchor + flow
 
 
 def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:

@@ -38,6 +38,11 @@ __all__ = [
 #: Distinguished time value carried by stationary moment vectors.
 STATIONARY = "stationary"
 
+_LOG_EPS = math.log(np.finfo(np.float64).eps)
+# Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
+# is identically zero and takes the lowest.
+_GRADE_EXP = 1000
+
 
 def _overflow_order(values: np.ndarray) -> int | None:
     """The first order whose value is not a finite double, or None: a value
@@ -54,9 +59,21 @@ def _in_range(what: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise InvalidInput(f"order must be >= 1, got {order}")
+
+
 def _check_moment_order(system: CoefficientSystem, n: int) -> None:
     if not 1 <= n <= system.order:
         raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
+
+
+def _check_initial(system: CoefficientSystem, init: InitialMomentVector) -> None:
+    if init.order != system.order:
+        raise InvalidInput(
+            f"initial vector order {init.order} != system order {system.order}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,12 +89,11 @@ class CoefficientSystem:
     theta0: np.ndarray
 
     def __post_init__(self):
-        shift = np.asarray(self.theta0, dtype=np.float64).reshape(-1).copy()
+        shift = core._frozen(self.theta0)
         if shift.shape[0] != self.theta.order:
             raise InvalidInput(
                 f"shift vector length {shift.shape[0]} != order {self.theta.order}"
             )
-        shift.setflags(write=False)
         object.__setattr__(self, "theta0", shift)
 
     @property
@@ -96,14 +112,11 @@ class InitialMomentVector:
     powers: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.powers, dtype=np.float64).reshape(-1).copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "powers", p)
+        object.__setattr__(self, "powers", core._frozen(self.powers))
 
     @classmethod
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":
-        if order < 1:
-            raise InvalidInput(f"order must be >= 1, got {order}")
+        _check_order(order)
         x0 = float(x0)
         return cls(x0, np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
 
@@ -120,9 +133,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", core._frozen(self.values))
 
     @property
     def order(self) -> int:
@@ -136,18 +147,82 @@ def _check_horizon(t: float) -> float:
     return t
 
 
+def _stationary(system: CoefficientSystem) -> np.ndarray:
+    """The forward substitution 0 = T s + c; past the double range it gives
+    infinities or NaN, which the callers read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return core.solve_lower(system.theta, -system.theta0)
+
+
+def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Power-of-two exponents e_k of a diagonal similarity for e^{A t} v.
+
+    Component k is scaled by its heaviest generator path from row 0 or from
+    v, the p-th jump into component k weighing |a_kj| min(t/p, 1/|a_kk|):
+    within time t a path of p jumps carries t^p/p!, and a decaying component
+    holds at most 1/|a_kk| of its inflow.  Each component keeps only its
+    heaviest path, so row k reads rows <= k alone, and the pass works in
+    logarithms so that no weight underflows.
+    """
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(A))
+        log_w = np.log(np.abs(v))
+        log_hold = -np.log(np.abs(np.diagonal(A)))
+    log_t = math.log(t)
+    jumps = [0] * A.shape[0]
+    log_next = np.full(A.shape[0], log_t)  # log(t / (jumps + 1)), the next jump's time factor
+    for k in range(1, A.shape[0]):
+        cand = np.minimum(log_next[:k], log_hold[k])
+        cand += log_w[:k]
+        cand += log_a[k, :k]
+        j = int(cand.argmax())
+        if cand[j] > log_w[k]:
+            log_w[k] = cand[j]
+            jumps[k] = jumps[j] + 1
+            log_next[k] = log_t - math.log(jumps[k] + 1)
+    e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -_GRADE_EXP)
+    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int64)
+
+
 def transient_vector(
     system: CoefficientSystem, init: InitialMomentVector, t: float
 ) -> MomentVector:
-    """All moments at time t from one matrix exponential evaluation."""
+    """All moments at time t from one matrix exponential evaluation.
+
+    s(t) is rows 1..n of e^{A t} [1; s(0)] for the augmented generator
+    A = [[0, 0], [c, T]] (Van Loan, IEEE TAC 23, 1978), which needs no
+    resolvent and no distinct spectrum.  The exponential is graded: the
+    grading D = diag(2^e) makes every component of D^{-1} e^{At} [1; s(0)] of
+    order one, and ``core._taylor_exp`` exponentiates B = D^{-1} A t D.
+    Powers of two keep the grading exact.
+
+    Once every e^{d_k t} is below machine epsilon, the origin moves to the
+    stationary vector s_inf, so the flow carries only the small remainder
+    s(0) - s_inf and near-stationary moments stay a smooth function of t.
+    """
     t = _check_horizon(t)
-    if init.order != system.order:
-        raise InvalidInput(
-            f"initial vector order {init.order} != system order {system.order}"
-        )
+    _check_initial(system, init)
     if t == 0.0:
         return MomentVector(0.0, init.powers)
-    values = core._affine_flow(system.theta, system.theta0, init.powers, t)
+    n = system.order
+    T = system.theta.dense()
+    shift, start = system.theta0, init.powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = None
+        if np.all(system.theta.diagonal() * t <= _LOG_EPS):
+            anchor = _stationary(system)
+            shift = T @ anchor + shift
+            start = start - anchor
+        A = np.zeros((n + 1, n + 1))
+        A[1:, 0] = shift
+        A[1:, 1:] = T
+        v = np.concatenate(([1.0], start))
+        e = _grading(A, v, t)
+        R = core._taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
+        values = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
+        if anchor is not None:
+            # only here: -0.0 + 0.0 would turn a flow's -0.0 into +0.0
+            values = anchor + values
     # the dense product spreads one overflowed order over all, so name none
     if _overflow_order(values) is not None:
         raise Overflow("transient moments exceeded the double-precision range")
@@ -180,13 +255,6 @@ def _require_stable(system: CoefficientSystem) -> None:
         raise NonStationary(
             f"{detail} diagonal entry at position {k}: no stationary moments"
         )
-
-
-def _stationary(system: CoefficientSystem) -> np.ndarray:
-    """The forward substitution 0 = T s + c; past the double range it gives
-    infinities or NaN, which the callers read."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return core.solve_lower(system.theta, -system.theta0)
 
 
 def steady_vector(system: CoefficientSystem) -> MomentVector:

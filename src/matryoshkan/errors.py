@@ -21,9 +21,9 @@ class SingularMatrix(MatryoshkanError):
     ``index`` is the 1-based position of the offending diagonal entry.
     """
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"zero diagonal entry at position {index}")
+        super().__init__(f"zero diagonal entry at position {index}")
 
 
 class DegenerateSpectrum(MatryoshkanError):
@@ -32,12 +32,10 @@ class DegenerateSpectrum(MatryoshkanError):
     ``pairs`` lists the offending (i, j) 1-based diagonal positions.
     """
 
-    def __init__(self, pairs, message: str | None = None):
+    def __init__(self, pairs):
         self.pairs = tuple(tuple(p) for p in pairs)
-        if message is None:
-            shown = ", ".join(f"({i},{j})" for i, j in self.pairs[:4])
-            message = f"coincident diagonal entries at positions {shown}"
-        super().__init__(message)
+        shown = ", ".join(f"({i},{j})" for i, j in self.pairs[:4])
+        super().__init__(f"coincident diagonal entries at positions {shown}")
 
 
 class Overflow(MatryoshkanError):

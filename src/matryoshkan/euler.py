@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    CoefficientSystem, InitialMomentVector, MomentVector, _check_moment_order, _overflow_order,
-    transient_vector,
+    CoefficientSystem, InitialMomentVector, MomentVector, _check_initial, _check_moment_order,
+    _overflow_order, transient_vector,
 )
 from .errors import InvalidInput, Overflow
 
@@ -57,10 +57,7 @@ def euler_solve(
     A component that is no longer finite raises Overflow (the step is too
     coarse for the stiffest diagonal).
     """
-    if init.order != system.order:
-        raise InvalidInput(
-            f"initial vector order {init.order} != system order {system.order}"
-        )
+    _check_initial(system, init)
     steps = cfg.steps
     s = init.powers.copy()
     n = system.order

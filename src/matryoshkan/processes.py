@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import MatryoshkanMatrix, _tril_indices
-from .engine import CoefficientSystem, InitialMomentVector, _in_range
+from .engine import CoefficientSystem, InitialMomentVector, _check_order, _in_range
 from .errors import (
     InsufficientMoments,
     InvalidInput,
@@ -115,7 +115,7 @@ class JumpMoments:
         """E[J^k] for k = 0..n, with the k = 0 entry pinned to 1."""
         return np.concatenate([[1.0], self.moments(n)])
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
 
 
@@ -135,9 +135,7 @@ class DeterministicJumps(JumpMoments):
             out = np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
         return _in_range("deterministic jump moment", out)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return float(self.size)
+    def sample(self, rng, size):
         return np.full(size, float(self.size))
 
 
@@ -168,7 +166,7 @@ class ExponentialJumps(JumpMoments):
                 break
         return _in_range("exponential jump moment", out)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
 
@@ -193,7 +191,7 @@ class LogNormalJumps(JumpMoments):
                 break
         return _in_range("lognormal jump moment", out)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.lognormal(self.location, self.scale, size)
 
 
@@ -204,7 +202,7 @@ class UniformJumps(JumpMoments):
     def moments(self, n: int) -> np.ndarray:
         return 1.0 / np.arange(2.0, n + 2.0)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.random(size)
 
 
@@ -566,8 +564,3 @@ def ito_gamma_bounds(
     lower, _ = build(lo, n)
     upper, _ = build(hi, n)
     return lower, upper
-
-
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise InvalidInput(f"order must be >= 1, got {n}")

@@ -104,6 +104,13 @@ def test_moments_match_library(capsys):
     system, init = mk.build(mk.HawkesSpec(1, 1, 2, 1), 3)
     expected = mk.transient_vector(system, init, 1.5).values
     assert [p["value"] for p in payload] == pytest.approx(list(expected), rel=1e-15)
+    code, out, _ = run(
+        capsys, "moments", "--process", "shotnoise", "--params", "lambda=1,beta=4",
+        "--jumps", "explicit:1,2,6", "--order", "3", "--time", "1",
+    )
+    system, init = mk.build(mk.ShotNoiseSpec(1.0, 4.0, mk.ExplicitJumps((1.0, 2.0, 6.0))), 3)
+    expected = mk.transient_vector(system, init, 1.0).values
+    assert code == 0 and [p["value"] for p in json.loads(out)["payload"]] == list(expected)
 
 
 def test_steady_growth_collapse(capsys):
@@ -271,6 +278,11 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
     assert code == 2 and "--deltas" in err and "not a list of numbers" in err
+    code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", ",")
+    assert code == 2 and "--deltas" in err
+    for descriptor, reason in (("lognormal:x,1", "malformed descriptor"), ("gamma:1", "unknown descriptor")):
+        code, out, err = run(capsys, "moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", descriptor, "--order", "1", "--time", "1")
+        assert code == 2 and out == "" and f"--jumps: {reason} '{descriptor}'" in err
     # an active jump term without its law is rejected by the record
     code, out, err = run(capsys, "moments", "--process", "generic", "--params", "a0=1", "--order", "1", "--time", "1")
     assert code == 2 and out == "" and "a0/a1" in err

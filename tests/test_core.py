@@ -168,6 +168,11 @@ def test_power_rejects_negative_and_accepts_repeated_diagonal():
     assert np.array_equal(mk.power(m, 1).packed, m.packed)
 
 
+def test_power_overflow():
+    with pytest.raises(Overflow, match="matrix power"):
+        mk.power(mk.MatryoshkanMatrix.from_diagonal([1e200]), 2)
+
+
 # -- exponential --------------------------------------------------------------
 
 
@@ -200,6 +205,9 @@ def test_exp_diagonal_overflow():
     m = mk.MatryoshkanMatrix.from_diagonal([800.0, 1.0])
     with pytest.raises(Overflow):
         mk.exp_scaled(m, 1.0)
+    # M t itself leaves the double range before any series term is formed
+    with pytest.raises(Overflow, match="generator entries times t"):
+        mk.exp_scaled(mk.MatryoshkanMatrix.from_diagonal([1e300]), 1e10)
 
 
 def test_exp_rejects_non_finite_time():

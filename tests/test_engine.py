@@ -187,6 +187,16 @@ def test_negative_time_rejected():
         mk.transient_vector(system, init, -1.0)
 
 
+def test_initial_vector_of_another_order_is_rejected():
+    system, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 3)
+    init = mk.InitialMomentVector.from_state(1.0, 2)
+    message = "initial vector order 2 != system order 3"
+    with pytest.raises(InvalidInput, match=message):
+        mk.transient_vector(system, init, 1.0)
+    with pytest.raises(InvalidInput, match=message):
+        mk.euler_solve(system, init, mk.EulerConfig(step=1e-2, horizon=1.0))
+
+
 def test_transient_overflow():
     # growing diffusion moments pass the scalar exponential ceiling
     _, system, init, _ = build_fixture("cir", 10)
@@ -376,6 +386,10 @@ def test_validate_flags_positive_diagonals():
     report = mk.validate(system)
     assert not report.stationary and not report.singular
     assert report.positive_diagonals == (1, 2, 3)
+    system, _ = mk.build(mk.HawkesSpec(1.0, 3.0, 2.0), 3)  # alpha > beta
+    lines = mk.validate(system).describe().split("\n")
+    assert "stationary: no; nonnegative diagonal" in lines
+    assert "positive diagonals: [1, 2, 3]" in lines
 
 
 def test_validate_predicts_overflow_order():

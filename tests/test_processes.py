@@ -513,6 +513,17 @@ def test_build_rejects_unsupported_objects():
         mk.build(object(), 3)
 
 
+def test_order_below_one_is_rejected():
+    for make in (
+        lambda: mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 0),
+        lambda: mk.InitialMomentVector.from_state(1.0, 0),
+        lambda: mk.pascal_matryoshkan(0, 1.0),
+        lambda: mk.pascal_lower(0, 1.0),
+    ):
+        with pytest.raises(InvalidInput, match="order must be >= 1, got 0"):
+            make()
+
+
 def test_generic_requires_needed_moments():
     # the record rejects an active jump term without its law when built
     with pytest.raises(InsufficientMoments, match="a0/a1"):
