@@ -9,8 +9,8 @@ for bit.  A row of the inverse or of the eigenvectors costs one vector times
 the leading block built so far and one division, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
-row i of the dense Taylor exponential of the leading (i+1)-block, evaluated
-without a linear solve.  None of these needs a distinct spectrum.
+row i of the Taylor exponential of the leading (i+1)-block, evaluated without
+a linear solve.  None of these needs a distinct spectrum.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -80,6 +80,13 @@ def _taylor_coefficients(p: int, q: int) -> np.ndarray:
 
 
 _TAYLOR_COEF = tuple(_taylor_coefficients(p, q) for p, q, _ in _TAYLOR_DEGREES)
+
+# Products of lower-triangular matrices from this order up skip the zero
+# upper-right block; below it the three smaller calls save no time.
+_SPLIT_ORDER = 64
+# Squarings that e^B w finishes on the vector: 2^r matrix-vector products
+# replace the last r squarings.  r = 4 doubled the worst transient error.
+_VECTOR_SQUARINGS = 3
 
 
 # Row and column of every packed entry: np.tril_indices(N) for the largest
@@ -268,14 +275,36 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     return index, s
 
 
-def _taylor_exp(B: np.ndarray) -> np.ndarray:
-    """e^B for a lower-triangular B by Taylor scaling and squaring.
+def _tril_matmul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X @ Y into ``out`` for lower-triangular X and Y; ``out`` aliases neither.
+
+    From _SPLIT_ORDER up the product is three gemms, the two diagonal blocks
+    and the lower-left block X[h:] @ Y[:, :h], and the strict upper triangle
+    of ``out`` is exactly 0.0: half the flops of a dense product.
+    """
+    n = X.shape[0]
+    if n < _SPLIT_ORDER:
+        return np.matmul(X, Y, out=out)
+    h = n // 2
+    np.matmul(X[:h, :h], Y[:h, :h], out=out[:h, :h])
+    np.matmul(X[h:, h:], Y[h:, h:], out=out[h:, h:])
+    np.matmul(X[h:], Y[:, :h], out=out[h:, :h])
+    out[:h, h:] = 0.0
+    return out
+
+
+def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """e^B, or e^B w for a vector w, for a lower-triangular B by Taylor
+    scaling and squaring.
 
     T_m(2^{-s} B) is evaluated by Paterson-Stockmeyer: the powers X^0..X^p
     are stacked, every p-term chunk sum comes from one product of the chunk
     coefficients with that stack, and Horner's rule in X^p joins the chunks.
-    No linear system is solved.  After each squaring the diagonal is reset
-    to the exact e^{b_kk tau} (Al-Mohy & Higham, SIMAX 31, 2009).  Powers of
+    No linear system is solved, and every other product is triangular.
+    The diagonal of T_m and of each square is reset to the exact e^{b_kk tau}
+    (Al-Mohy & Higham, SIMAX 31, 2009).  Given w, the last
+    r = min(s, _VECTOR_SQUARINGS) squarings are 2^r products of e^{2^{-r} B}
+    with the vector instead (Al-Mohy & Higham, SIMAX 33, 2011).  Powers of
     two keep the scaling exact.  Entries that leave the double range come
     back non-finite.
     """
@@ -290,18 +319,26 @@ def _taylor_exp(B: np.ndarray) -> np.ndarray:
     powers[0] = np.eye(n)
     powers[1] = np.ldexp(B, -s)
     for j in range(2, p + 1):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
+        _tril_matmul(powers[j - 1], powers[1], powers[j])
     chunks = (coef @ powers.reshape(p + 1, n * n)).reshape(-1, n, n)
-    R = chunks[-1]
+    R, spare = chunks[-1], np.empty((n, n))
     for chunk in chunks[-2::-1]:
-        R = R @ powers[p]
+        R, spare = _tril_matmul(R, powers[p], spare), R
         R += chunk
-    diag = np.diagonal(B)
+    r = 0 if w is None else min(s, _VECTOR_SQUARINGS)
+    # R approximates e^{2^{-s} B} and squaring i gives e^{2^{i+1-s} B}: each
+    # diagonal is known exactly
+    diagonals = np.exp(np.ldexp(np.diagonal(B), np.arange(-s, 1 - r)[:, None]))
     idx = np.diag_indices(n)
-    for i in range(s):
-        R = R @ R
-        R[idx] = np.exp(np.ldexp(diag, i + 1 - s))
-    return R
+    R[idx] = diagonals[0]
+    for diagonal in diagonals[1:]:
+        R, spare = _tril_matmul(R, R, spare), R
+        R[idx] = diagonal
+    if w is None:
+        return R
+    for _ in range(1 << r):
+        w = R @ w
+    return w
 
 
 def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
@@ -433,7 +470,7 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     Row i is row i of the Taylor exponential (``_taylor_exp``) of the leading
     (i+1)-block of M t, so it depends on that block alone and the result
     nests bit for bit; the diagonal is the exact (e^{d_1 t}, ..., e^{d_n t}).
-    Repeated diagonals need no special care.  Row i costs one dense
+    Repeated diagonals need no special care.  Row i costs one
     (i+1)-order exponential, O(n^4 / 4) in all, and no linear solve.
 
     Raises:

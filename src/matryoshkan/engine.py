@@ -193,8 +193,8 @@ def transient_vector(
     A = [[0, 0], [c, T]] (Van Loan, IEEE TAC 23, 1978), which needs no
     resolvent and no distinct spectrum.  The exponential is graded: the
     grading D = diag(2^e) makes every component of D^{-1} e^{At} [1; s(0)] of
-    order one, and ``core._taylor_exp`` exponentiates B = D^{-1} A t D.
-    Powers of two keep the grading exact.
+    order one, and ``core._taylor_exp`` applies e^B, B = D^{-1} A t D, to the
+    graded vector D^{-1} [1; s(0)].  Powers of two keep the grading exact.
 
     Once every e^{d_k t} is below machine epsilon, the origin moves to the
     stationary vector s_inf, so the flow carries only the small remainder
@@ -218,8 +218,8 @@ def transient_vector(
         A[1:, 1:] = T
         v = np.concatenate(([1.0], start))
         e = _grading(A, v, t)
-        R = core._taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]))
-        values = np.ldexp(R @ np.ldexp(v, -e), e)[1:]
+        w = core._taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]), np.ldexp(v, -e))
+        values = np.ldexp(w, e)[1:]
         if anchor is not None:
             # only here: -0.0 + 0.0 would turn a flow's -0.0 into +0.0
             values = anchor + values

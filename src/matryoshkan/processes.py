@@ -172,7 +172,7 @@ class ExponentialJumps(JumpMoments):
 
 @dataclass(frozen=True)
 class LogNormalJumps(JumpMoments):
-    """LogNormal(m, s) jumps: E[J^k] = exp(k m + k^2 s^2 / 2)."""
+    """LogNormal(m, s) jumps: E[J^k] = exp(k m + k^2 s^2 / 2), within an ulp."""
 
     location: float
     scale: float
@@ -183,12 +183,24 @@ class LogNormalJumps(JumpMoments):
             raise InvalidInput(f"lognormal scale must be >= 0, got {self.scale}")
 
     def moments(self, n: int) -> np.ndarray:
+        # m = a / da and s = b / db exactly, so the exponent k m + (k s)^2 / 2
+        # is num / den with den a power of two; y = float(num / den) is a
+        # multiple of 1 / den, and with d = num / den - y (below half an ulp
+        # of y), e^y + e^y d is the moment to rounding
+        a, da = float(self.location).as_integer_ratio()
+        b, db = float(self.scale).as_integer_ratio()
+        den = 2 * da * db * db
+        lin, quad = 2 * a * db * db, b * b * da
         out = np.full(n, math.inf)
         for k in range(1, n + 1):
+            num = k * (lin + k * quad)
             try:
-                out[k - 1] = math.exp(k * self.location + 0.5 * (k * self.scale) ** 2)
+                y = num / den
+                grow = math.exp(y)
             except OverflowError:
                 break
+            yn, yd = y.as_integer_ratio()
+            out[k - 1] = grow + grow * ((num - yn * (den // yd)) / den)
         return _in_range("lognormal jump moment", out)
 
     def sample(self, rng, size):

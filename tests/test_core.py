@@ -288,7 +288,27 @@ def test_taylor_kernel_takes_every_degree_and_matches_mpmath():
         degrees.add(p * q)
         ref = mpmath_dense(mpmath.expm, B)
         assert worst_row_error(core._taylor_exp(B), ref) <= 1e-13, norm
+        # the action e^B w finishes its last squarings on w; each entry is
+        # held against the size of the terms it sums, |e^B| |w|
+        w = rng.uniform(-1.0, 1.0, 6)
+        scale = np.abs(ref) @ np.abs(w)
+        assert np.all(np.abs(core._taylor_exp(B, w) - ref @ w) <= 1e-13 * scale), norm
     assert degrees == {p * q for p, q, _ in core._TAYLOR_DEGREES}
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 101])
+def test_triangular_product_matches_dense_product(n):
+    # from core._SPLIT_ORDER up the product skips the zero upper-right block;
+    # either way it agrees with the dense product to rounding and leaves the
+    # strict upper triangle of a garbage-filled output exactly zero
+    rng = np.random.default_rng(n)
+    X = np.tril(rng.standard_normal((n, n)))
+    Y = np.tril(rng.standard_normal((n, n)))
+    out = np.full((n, n), np.nan)
+    assert core._tril_matmul(X, Y, out) is out
+    assert np.all(np.triu(out, 1) == 0.0)
+    bound = 2 * n * np.finfo(np.float64).eps * (np.abs(X) @ np.abs(Y))
+    assert np.all(np.abs(out - X @ Y) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -420,8 +440,9 @@ def test_coincident_pairs_match_brute_force_loop(rng):
 
 def test_nesting_is_exact_for_all_operations(rng):
     # order 40 against its leading 19, 20 and 39 blocks: one dense BLAS
-    # product of the whole matrices differs from the block product there
-    for order, ks in ((12, (3, 7, 11)), (40, (19, 20, 39))):
+    # product of the whole matrices differs from the block product there;
+    # order 66 spans core._SPLIT_ORDER, where the Taylor products split
+    for order, ks in ((12, (3, 7, 11)), (40, (19, 20, 39)), (66, (63, 64, 65))):
         m = random_matryoshkan(rng, order, diag_low=-6.0, diag_high=-0.5)
         other = random_matryoshkan(rng, order, diag_low=-3.0, diag_high=-0.1)
         for k in ks:

@@ -5,6 +5,7 @@ import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,6 +123,26 @@ def test_jump_moment_values():
                 assert law.moment(k) == float(exact), (rate, k)
     exact = [float(Fraction(1, k + 1)) for k in range(1, 201)]
     assert mk.UniformJumps().moments(200).tolist() == exact
+
+
+@pytest.mark.parametrize("location, scale", [(0.2, 0.9), (-0.25, 0.6), (-0.5, 0.2), (0.1, 0.7)])
+def test_lognormal_moments_are_within_an_ulp(location, scale):
+    # against 60-digit mpmath over every finite order <= 200; rounding the
+    # exponent k m + (k s)^2 / 2 before exp is off by 757-1,056 ulp here
+    with mpmath.workdps(60):
+        exact = []
+        for k in range(1, 201):
+            ref = mpmath.exp(k * mpmath.mpf(location) + (k * mpmath.mpf(scale)) ** 2 / 2)
+            if ref >= sys.float_info.max:
+                break
+            exact.append(ref)
+        law = mk.LogNormalJumps(location, scale)
+        for k, (value, ref) in enumerate(zip(law.moments(len(exact)), exact), start=1):
+            ulps = abs(mpmath.mpf(value) - ref) / math.ulp(float(ref))
+            assert ulps <= 1.0, (k, float(ulps))
+    if len(exact) < 200:
+        with pytest.raises(Overflow, match=f"order {len(exact) + 1}"):
+            law.moments(len(exact) + 1)
 
 
 @pytest.mark.parametrize(
