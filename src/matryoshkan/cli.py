@@ -138,6 +138,8 @@ def _parse_params(text: str) -> dict[str, float]:
             raise _CLIError(f"--params: expected key=value, got '{piece}'")
         key, _, raw = piece.partition("=")
         key = key.strip()
+        if key in out:
+            raise _CLIError(f"--params: key '{key}' is given more than once")
         try:
             out[key] = float(raw)
         except ValueError:
@@ -148,10 +150,10 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def _parse_descriptor(flag: str, text: str) -> processes.JumpMoments:
-    name, _, raw = text.partition(":")
+    name, colon, raw = text.partition(":")
     name = name.strip().lower()
     try:
-        if name == "uniform":
+        if name == "uniform" and not colon:
             return processes.UniformJumps()
         values = [float(v) for v in raw.split(",") if v != ""]
         if name == "deterministic" and len(values) == 1:

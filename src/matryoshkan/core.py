@@ -1,12 +1,13 @@
 """Nested lower-triangular matrix algebra.
 
 The matrices handled here belong to nested sequences: the leading k-by-k
-block of the order-n member is itself the order-k member.  Packed row-major
-storage makes the nesting literal (the order-k block is a prefix of the
-buffer), and every operation assembles its result one row at a time from the
-leading block alone, so ``op(m).leading(k)`` equals ``op(m.leading(k))`` bit
-for bit.  A row of the inverse or of the eigenvectors costs one vector times
-the leading block built so far and one division, O(n^2) per row.
+block of the order-n member is itself the order-k member.  Each matrix holds
+its dense lower triangle with exact zeros above the diagonal, so the order-k
+member is its top-left k-by-k block, and every operation assembles its
+result one row at a time from the leading block alone, so
+``op(m).leading(k)`` equals ``op(m.leading(k))`` bit for bit.  A row of the
+inverse or of the eigenvectors costs one vector times the leading block
+built so far and one division, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
 row i of the Taylor exponential of the leading (i+1)-block, evaluated without
@@ -89,13 +90,6 @@ _SPLIT_ORDER = 64
 _VECTOR_SQUARINGS = 3
 
 
-# Row and column of every packed entry: np.tril_indices(N) for the largest
-# order N asked for so far, whose first n(n+1)/2 pairs are np.tril_indices(n)
-# because packed storage is row-major.  One read-only buffer serves every
-# order and only grows.
-_TRIL = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-
-
 def _check_order(order: int) -> None:
     if order < 1:
         raise InvalidDimension(f"order must be >= 1, got {order}")
@@ -112,43 +106,43 @@ def _packed_size(order: int) -> int:
     return order * (order + 1) // 2
 
 
-def _tril_indices(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.tril_indices(order), as a prefix of the shared buffer."""
-    global _TRIL
-    size = _packed_size(order)
-    # Read the buffer once: a concurrent call may swap in one of another
-    # size, which costs a later regrowth but never a short slice here.
-    rows, cols = _TRIL
-    if rows.shape[0] < size:
-        rows, cols = np.tril_indices(order)
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        _TRIL = (rows, cols)
-    return rows[:size], cols[:size]
-
-
 class MatryoshkanMatrix:
-    """Lower-triangular matrix stored as packed row-major rows.
+    """Lower-triangular matrix held as one read-only dense n-by-n array.
 
-    Row i (0-based) occupies ``packed[i*(i+1)//2 : i*(i+1)//2 + i + 1]``, so
-    the first k*(k+1)//2 entries are exactly the order-k leading block.
-    Entries above the diagonal are not stored and export as exact 0.0.
+    Entries above the diagonal are exact +0.0, so the order-k leading block
+    is the top-left k-by-k block.  ``packed`` exports the lower triangle row
+    by row: row i (0-based) is ``packed[i*(i+1)//2 : i*(i+1)//2 + i + 1]``,
+    and the first k*(k+1)//2 entries are the order-k leading block.
     """
 
-    __slots__ = ("order", "_data", "_dense", "_diag", "_coincident")
+    __slots__ = ("order", "_data", "_coincident")
 
     def __init__(self, order: int, packed):
         _check_order(order)
-        data = _frozen(packed)
+        data = np.asarray(packed, dtype=np.float64).reshape(-1)
         if data.shape[0] != _packed_size(order):
             raise InvalidDimension(
                 f"order {order} needs {_packed_size(order)} packed entries, "
                 f"got {data.shape[0]}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_data", data)
-        object.__setattr__(self, "_dense", None)
-        object.__setattr__(self, "_diag", None)
+        dense = np.zeros((order, order))
+        dense[np.tril_indices(order)] = data
+        self._take(dense)
+
+    @classmethod
+    def _own(cls, dense: np.ndarray) -> "MatryoshkanMatrix":
+        """Wrap a fresh lower-triangular array with exact +0.0 above the
+        diagonal, frozen in place, so no caller may keep it; a strided view
+        is copied, since products with it run slower."""
+        m = object.__new__(cls)
+        m._take(dense)
+        return m
+
+    def _take(self, dense: np.ndarray) -> None:
+        dense = np.ascontiguousarray(dense)
+        dense.setflags(write=False)
+        object.__setattr__(self, "order", dense.shape[0])
+        object.__setattr__(self, "_data", dense)
         object.__setattr__(self, "_coincident", None)
 
     def __setattr__(self, name, value):
@@ -168,62 +162,55 @@ class MatryoshkanMatrix:
 
     @classmethod
     def zeros(cls, order: int) -> "MatryoshkanMatrix":
-        return cls(order, np.zeros(_packed_size(order)))
+        _check_order(order)
+        return cls._own(np.zeros((order, order)))
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
         d = np.asarray(values, dtype=np.float64).reshape(-1)
-        rows, cols = _tril_indices(d.shape[0])
-        packed = np.zeros(rows.shape[0])
-        packed[rows == cols] = d
-        return cls(d.shape[0], packed)
+        _check_order(d.shape[0])
+        return cls._own(np.diag(d))
 
     @classmethod
     def from_dense(cls, array) -> "MatryoshkanMatrix":
         a = np.asarray(array, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
+        _check_order(a.shape[0])
         if np.triu(a, 1).any():
             raise InvalidDimension("entries above the diagonal must be exactly zero")
-        return cls(n, a[_tril_indices(n)])
+        # np.tril writes +0.0 above the diagonal, where a may hold -0.0
+        return cls._own(np.tril(a))
 
     # -- accessors -------------------------------------------------------
 
     @property
     def packed(self) -> np.ndarray:
-        """Read-only packed storage (row-major lower triangle)."""
-        return self._data
+        """Read-only packed export (row-major lower triangle), gathered on
+        each call."""
+        out = self._data[np.tril_indices(self.order)]
+        out.setflags(write=False)
+        return out
 
     def dense(self) -> np.ndarray:
-        """Read-only dense export with exact zeros above the diagonal."""
-        if self._dense is None:
-            n = self.order
-            out = np.zeros((n, n))
-            out[_tril_indices(n)] = self._data
-            out.setflags(write=False)
-            object.__setattr__(self, "_dense", out)
-        return self._dense
+        """The read-only dense storage, exact +0.0 above the diagonal."""
+        return self._data
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal entries, which are also the eigenvalues."""
-        if self._diag is None:
-            idx = np.arange(1, self.order + 1)
-            object.__setattr__(self, "_diag", _frozen(self._data[idx * (idx + 1) // 2 - 1]))
-        return self._diag
+        """The diagonal entries, which are also the eigenvalues (read-only)."""
+        return np.diagonal(self._data)
 
     def sub_row(self, i: int) -> np.ndarray:
         """Entries of 0-based row i strictly left of the diagonal."""
         if not 0 <= i < self.order:
             raise InvalidDimension(f"row {i} out of range for order {self.order}")
-        start = i * (i + 1) // 2
-        return self._data[start : start + i].copy()
+        return self._data[i, :i].copy()
 
     def leading(self, k: int) -> "MatryoshkanMatrix":
-        """The order-k leading block, a prefix of the packed storage."""
+        """The order-k leading block, a copy of the top-left k-by-k block."""
         if not 1 <= k <= self.order:
             raise InvalidDimension(f"leading block order {k} out of range")
-        return MatryoshkanMatrix(k, self._data[: _packed_size(k)])
+        return MatryoshkanMatrix._own(self._data[:k, :k].copy())
 
     @property
     def has_distinct_spectrum(self) -> bool:
@@ -371,7 +358,7 @@ def _trailing_rows(m: MatryoshkanMatrix, den: np.ndarray, diag) -> MatryoshkanMa
     X[np.diag_indices(n)] = diag
     for i in range(1, n):
         X[i, :i] = (L[i, :i] @ X[:i, :i]) / den[i, :i]
-    return MatryoshkanMatrix(n, X[_tril_indices(n)])
+    return MatryoshkanMatrix._own(X)
 
 
 # -- operations -----------------------------------------------------------
@@ -397,14 +384,18 @@ def extend(
         raise InvalidDimension(
             f"row length {r.shape[0]} != base order {base.order}"
         )
-    packed = np.concatenate([base.packed, r, [float(diag)]])
-    return MatryoshkanMatrix(base.order + 1, packed)
+    n = base.order
+    X = np.zeros((n + 1, n + 1))
+    X[:n, :n] = base.dense()
+    X[n, :n] = r
+    X[n, n] = float(diag)
+    return MatryoshkanMatrix._own(X)
 
 
 def add(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
-    """Entrywise sum; nesting and triangularity are preserved by storage."""
+    """Entrywise sum; 0.0 + 0.0 keeps the upper triangle exact zeros."""
     _require_same_order(x, y)
-    return MatryoshkanMatrix(x.order, x.packed + y.packed)
+    return MatryoshkanMatrix._own(x.dense() + y.dense())
 
 
 def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -417,8 +408,10 @@ def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     _require_same_order(x, y)
     X = x.dense()
     Y = y.dense()
-    packed = np.concatenate([X[i, : i + 1] @ Y[: i + 1, : i + 1] for i in range(x.order)])
-    return MatryoshkanMatrix(x.order, packed)
+    Z = np.zeros_like(X)
+    for i in range(x.order):
+        Z[i, : i + 1] = X[i, : i + 1] @ Y[: i + 1, : i + 1]
+    return MatryoshkanMatrix._own(Z)
 
 
 def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -459,7 +452,7 @@ def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
             if not k:
                 break
             base = multiply(base, base)
-    if not np.all(np.isfinite(result.packed)):
+    if not np.all(np.isfinite(result.dense())):
         raise Overflow("matrix power exceeded the double-precision range")
     return result
 
@@ -489,7 +482,7 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
         E[np.diag_indices(n)] = np.exp(m.diagonal() * t)
     if not np.all(np.isfinite(E)):
         raise Overflow("matrix exponential exceeded the double-precision range")
-    return MatryoshkanMatrix(n, E[_tril_indices(n)])
+    return MatryoshkanMatrix._own(E)
 
 
 def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:

@@ -74,6 +74,7 @@ def _check_initial(system: CoefficientSystem, init: InitialMomentVector) -> None
         raise InvalidInput(
             f"initial vector order {init.order} != system order {system.order}"
         )
+    _in_range("initial moment", init.powers)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class CoefficientSystem:
 
     Row k of T may only touch columns 1..k: the derivative of the k-th
     moment depends on moments of order at most k.  Triangularity is enforced
-    by the packed storage of the matrix itself.
+    by the matrix itself, which holds exact zeros above its diagonal.
     """
 
     theta: MatryoshkanMatrix
@@ -118,7 +119,9 @@ class InitialMomentVector:
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":
         _check_order(order)
         x0 = float(x0)
-        return cls(x0, np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
+        # powers past the double range stay infinite until a solve reads them
+        with np.errstate(over="ignore"):
+            return cls(x0, np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
 
     @property
     def order(self) -> int:
@@ -280,7 +283,7 @@ class ValidationReport:
     coincident_pairs: tuple[tuple[int, int], ...]
     predicted_overflow_order: int | None
 
-    # packed storage is lower triangular by construction
+    # a MatryoshkanMatrix is lower triangular by construction
     triangular = True
 
     @property

@@ -65,7 +65,7 @@ def euler_solve(
     if n == 1:
         # scalar fast path; the generic loop below spends its time on
         # numpy call overhead at this size
-        t11 = float(system.theta.packed[0])
+        t11 = float(system.theta.dense()[0, 0])
         c1 = float(system.theta0[0])
         x = float(s[0])
         for _ in range(steps):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _tril_indices
+from .core import MatryoshkanMatrix
 from .engine import CoefficientSystem, InitialMomentVector, _check_order, _in_range
 from .errors import (
     InsufficientMoments,
@@ -45,39 +45,45 @@ __all__ = [
     "pascal_matryoshkan",
 ]
 
-# The entries C(k, 0..k-1) of rows k = 1, 2, ... packed row-major, in the
-# order of the matrix storage.  Order n reads the first n(n+1)/2 entries, so
-# one read-only buffer serves every order and only grows.
-_PASCAL_BUFFER = np.empty(0)
+# The unit Pascal Matryoshkan matrix of the largest order asked for so far:
+# C(k, j) at row k - 1, column j < k, and 0.0 above the diagonal.  Its
+# order-n leading block serves order n, so one read-only buffer serves every
+# order and is only ever replaced by a larger one.
+_PASCAL_BUFFER = np.empty((0, 0))
 
 
 def binomial_row(n: int) -> np.ndarray:
     """Row n of Pascal's triangle, C(n, 0..n), by the additive recurrence."""
     if n < 0:
         raise InvalidInput(f"binomial row index must be >= 0, got {n}")
-    return np.append(_pascal_packed(n)[n * (n - 1) // 2 :], 1.0)
+    # the last row of the order-n block, C(n, 0..n-1), flattened by append
+    # (empty at n = 0)
+    return np.append(_pascal(n)[n - 1 :], 1.0)
 
 
-def _pascal_packed(n: int) -> np.ndarray:
-    """Packed C(k, j) for 1 <= k <= n, j < k: a prefix of the shared buffer."""
+def _pascal(n: int) -> np.ndarray:
+    """The order-n leading block of the shared unit Pascal matrix."""
     global _PASCAL_BUFFER
-    size = n * (n + 1) // 2
     # Read the buffer once: a concurrent call may swap in one of another
-    # size, which costs a later regrowth but never a short slice here.
+    # size, which costs a later regrowth but never a short block here.
     pascal = _PASCAL_BUFFER
-    if pascal.shape[0] < size:
-        grown = np.ones(size)
-        grown[: pascal.shape[0]] = pascal
-        # row k = [1, prev[:-1] + prev[1:], prev[-1] + 1], after the rows
-        # already held (a buffer of m rows has m(m+1)/2 entries)
-        for k in range(max(math.isqrt(2 * pascal.shape[0]) + 1, 2), n + 1):
-            start = k * (k - 1) // 2
-            prev = grown[start - k + 1 : start]
-            grown[start + 1 : start + k - 1] = prev[:-1] + prev[1:]
-            grown[start + k - 1] = prev[-1] + 1.0
-        grown.setflags(write=False)
-        _PASCAL_BUFFER = pascal = grown
-    return pascal[:size]
+    if pascal.shape[0] < n:
+        pascal = np.zeros((n, n))
+        pascal[:, 0] = 1.0
+        # row k = [1, prev[:-1] + prev[1:], prev[-1] + 1], prev = row k - 1
+        for k in range(1, n):
+            prev = pascal[k - 1, :k]
+            pascal[k, 1:k] = prev[:-1] + prev[1:]
+            pascal[k, k] = prev[-1] + 1.0
+        pascal.setflags(write=False)
+        _PASCAL_BUFFER = pascal
+    return pascal[:n, :n]
+
+
+def _gap(n: int, shift: int) -> np.ndarray:
+    """i - j + shift at row i, column j on and below the diagonal; 0 above,
+    where a Pascal entry times a^0 or E[J^0] = 1 stays an exact +0.0."""
+    return np.tril(np.subtract.outer(np.arange(shift, n + shift), np.arange(n)))
 
 
 def _require_finite(record) -> None:
@@ -474,9 +480,7 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
     _check_order(n)
-    rows, cols = _tril_indices(n)
-    gap = (rows + 1 - cols).astype(np.float64)
-    return MatryoshkanMatrix(n, _pascal_packed(n) * np.power(float(a), gap))
+    return MatryoshkanMatrix._own(_pascal(n) * np.power(float(a), _gap(n, 1)))
 
 
 def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
@@ -484,14 +488,13 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
 
     Equals the exponential of a times the subdiagonal ladder diag(1:k-1, -1);
     at a = 1 the nonzero entries are the first k rows of Pascal's triangle.
-    Below the diagonal they are the packed order-(k-1) Pascal entries.
+    Below the diagonal they are the order-(k-1) unit Pascal Matryoshkan
+    matrix.
     """
     _check_order(k)
-    rows, cols = _tril_indices(k)
-    binom = np.ones(rows.shape[0])
-    binom[rows > cols] = _pascal_packed(k - 1)
-    gap = (rows - cols).astype(np.float64)
-    return MatryoshkanMatrix(k, binom * np.power(float(a), gap))
+    binom = np.eye(k)
+    binom[1:, :-1] += _pascal(k - 1)
+    return MatryoshkanMatrix._own(binom * np.power(float(a), _gap(k, 0)))
 
 
 # -- the builder --------------------------------------------------------------
@@ -524,24 +527,21 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     ]
     ec = spec.collapse.moments(n) if a[9] != 0.0 else None
 
-    rows, cols = _tril_indices(n)
     coef = np.zeros((n, n + 1))
-    flat = coef.reshape(-1)
-    # Entry C(k, j) of row k multiplies x^j (rates a0, a2) or x^(j+1)
-    # (rates a1, a3): flat positions at_j and at_j + 1 of the coefficients.
-    at_j = rows * (n + 1) + cols
+    # Entry C(k, j) E[J^(k-j)] of row k multiplies x^j (rates a0, a2) or
+    # x^(j+1) (rates a1, a3); above the diagonal it is an exact zero.
     if jumps:
-        pascal = _pascal_packed(n)
-        gap = rows + 1 - cols  # k - j, the power of the jump size
+        pascal, gap = _pascal(n), _gap(n, 1)
     for const, linear, moments in jumps:
         e = moments[gap]
         if const != 0.0:
-            flat[at_j] += const * pascal * e
+            coef[:, :-1] += const * pascal * e
         if linear != 0.0:
-            flat[at_j + 1] += linear * pascal * e
+            coef[:, 1:] += linear * pascal * e
 
     # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
     # the last)
+    flat = coef.reshape(-1)
     x_k, x_k1, x_k2 = flat[1 :: n + 2], flat[:: n + 2], flat[n + 1 :: n + 2]
     k = np.arange(1.0, n + 1.0)
     kk1 = k[1:] * (k[1:] - 1.0)
@@ -558,7 +558,7 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     if ec is not None:
         x_k += a[9] * (ec - 1.0)
 
-    system = CoefficientSystem(MatryoshkanMatrix(n, flat[at_j + 1]), coef[:, 0])
+    system = CoefficientSystem(MatryoshkanMatrix._own(coef[:, 1:]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 

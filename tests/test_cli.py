@@ -286,6 +286,12 @@ def test_exit_code_2_on_parameter_errors(capsys):
     # an active jump term without its law is rejected by the record
     code, out, err = run(capsys, "moments", "--process", "generic", "--params", "a0=1", "--order", "1", "--time", "1")
     assert code == 2 and out == "" and "a0/a1" in err
+    # uniform takes no values, so a value would silently be ignored
+    code, out, err = run(capsys, "moments", "--process", "growthcollapse", "--params", "lambda=1,mu=0.5", "--collapse", "uniform:0.5", "--order", "1", "--time", "1")
+    assert code == 2 and out == "" and "--collapse: unknown descriptor 'uniform:0.5'" in err
+    # a repeated key would silently keep its last value
+    code, out, err = run(capsys, "moments", "--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2,alpha=1.5", "--order", "1", "--time", "1")
+    assert code == 2 and out == "" and err == "error: --params: key 'alpha' is given more than once\n"
 
 
 FOREIGN_FLAGS = [
@@ -396,6 +402,18 @@ def test_exit_code_3_on_numerical_failures(capsys):
         "100",
     )
     assert code == 3 and "Overflow" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_initial_moment_overflow_exits_three(capsys):
+    params = ["--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2,x0=1e200", "--order", "2"]
+    for t in ("0", "1"):
+        code, out, err = run(capsys, "moments", *params, "--time", t)
+        assert code == 3 and out == "", t
+        assert err == "error: Overflow: initial moment of order 2 leaves the double range\n", t
+    code, out, err = run(capsys, "steady", *params)
+    assert code == 0 and err == ""
+    assert [p["value"] for p in json.loads(out)["payload"]] == [2.0, 5.0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

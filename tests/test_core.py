@@ -16,7 +16,7 @@ from matryoshkan.errors import (
     SingularMatrix,
 )
 
-from conftest import build_fixture, random_matryoshkan, taylor_exp
+from conftest import FIXTURES, build_fixture, random_matryoshkan, taylor_exp
 from reference_builders import reference_eigendecompose, reference_inverse
 
 
@@ -548,6 +548,51 @@ def test_values_are_immutable_and_shareable(rng):
         results = list(pool.map(lambda _: mk.exp_scaled(m, 1.0).packed, range(8)))
     for r in results[1:]:
         assert np.array_equal(r, results[0])
+
+
+def test_every_matrix_is_read_only_dense_with_exact_zeros_above(rng):
+    # the private constructor takes a computed array as it is, so every path
+    # that reaches it must leave +0.0, not -0.0, above the diagonal
+    m = random_matryoshkan(rng, 7)
+    signed = np.tril(rng.standard_normal((5, 5)))
+    signed[np.triu_indices(5, 1)] = -0.0
+    generic = mk.GenericGeneratorSpec(
+        (-0.3, 0.5, 0.7, -0.2, -1.0, -3.0, 0.0, 0.0, 0.1, -0.2),
+        up=mk.DeterministicJumps(0.0),
+        down=mk.ExponentialJumps(2.0),
+        collapse=mk.UniformJumps(),
+    )
+    matrices = {
+        "packed": mk.MatryoshkanMatrix(3, [1.0, -2.0, -0.0, 0.0, -0.0, 4.0]),
+        "initial": mk.MatryoshkanMatrix.initial(-0.5),
+        "identity": mk.MatryoshkanMatrix.identity(4),
+        "zeros": mk.MatryoshkanMatrix.zeros(3),
+        "from_diagonal": mk.MatryoshkanMatrix.from_diagonal([-1.0, -0.0, 2.0]),
+        "from_dense": mk.MatryoshkanMatrix.from_dense(signed),
+        "leading": m.leading(4),
+        "extend": mk.extend(m, rng.standard_normal(7), -3.0),
+        "extend base": mk.extend(None, [], -0.0),
+        "add": mk.add(m, mk.MatryoshkanMatrix.from_dense(np.tril(-m.dense()))),
+        "multiply": mk.multiply(m, m),
+        "inverse": mk.inverse(m),
+        "power 0": mk.power(m, 0),
+        "power 5": mk.power(m, 5),
+        "exp_scaled": mk.exp_scaled(m, 0.7),
+        "eigenvectors": mk.eigendecompose(m).U,
+        "build generic": mk.build(generic, 9)[0].theta,
+    }
+    for a in (-1.5, 0.0):
+        matrices[f"pascal_matryoshkan {a}"] = mk.pascal_matryoshkan(6, a)
+        matrices[f"pascal_lower {a}"] = mk.pascal_lower(6, a)
+    for name, (spec, _) in FIXTURES.items():
+        matrices[f"build {name}"] = mk.build(spec, 12)[0].theta
+    for name, x in matrices.items():
+        dense = x.dense()
+        assert dense.shape == (x.order, x.order) and dense.dtype == np.float64, name
+        assert dense.flags.c_contiguous and not dense.flags.writeable, name
+        upper = dense[np.triu_indices(x.order, 1)]
+        assert upper.tobytes() == np.zeros(upper.shape).tobytes(), name
+        assert x.packed.tobytes() == dense[np.tril_indices(x.order)].tobytes(), name
 
 
 # -- property tests ----------------------------------------------------------------

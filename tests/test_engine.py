@@ -198,6 +198,23 @@ def test_initial_vector_of_another_order_is_rejected():
         mk.euler_solve(system, init, mk.EulerConfig(step=1e-2, horizon=1.0))
 
 
+def test_initial_moments_past_the_double_range_raise_overflow():
+    # x0^2 = 1e400 is not a double: the powers are computed without a numpy
+    # warning, and every solve that reads them names the order
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0, x0=1e200), 2)
+    assert init.powers[0] == 1e200 and init.powers[1] == math.inf
+    message = "initial moment of order 2 leaves the double range"
+    for t in (0.0, 1.0):
+        with pytest.raises(Overflow, match=message):
+            mk.transient_vector(system, init, t)
+    with pytest.raises(Overflow, match=message):
+        mk.euler_solve(system, init, mk.EulerConfig(step=1e-2, horizon=1.0))
+    # the order-1 moment alone is representable, and steady states do not
+    # depend on the initial state
+    assert mk.transient_scalar(system, init, 0.0, 1) == 1e200
+    assert list(mk.steady_vector(system).values) == [2.0, 5.0]
+
+
 def test_transient_overflow():
     # growing diffusion moments pass the scalar exponential ceiling
     _, system, init, _ = build_fixture("cir", 10)

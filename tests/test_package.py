@@ -69,3 +69,23 @@ def test_no_orphaned_private_names():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert {name: where for name, where in defined.items() if name not in read} == {}
+
+
+def test_only_core_reads_the_packed_layout():
+    # a MatryoshkanMatrix holds its dense lower triangle and gathers the
+    # packed export itself, so no other module needs triangle indices
+    reads = []
+    for path in sorted((SRC / "matryoshkan").glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno}" for name in names if name in ("tril_indices", "_tril_indices")]
+    assert reads == []

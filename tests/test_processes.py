@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
-from matryoshkan import core
 from matryoshkan.errors import (
     InsufficientMoments,
     InvalidInput,
@@ -499,14 +498,13 @@ def test_build_nests_bit_for_bit(name):
 
 
 def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
-    # threads that grow the module's packed Pascal and index buffers
-    # together must each read complete prefixes of the size they asked for
+    # threads that regrow the module's Pascal buffer together must each read
+    # a complete leading block of the order they asked for
     specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.EphemeralSpec(1.0, 2.0, 3.0)]
     orders = [100, 12, 57, 80, 3, 64, 99, 40]
     expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
     for attempt in range(20):
-        monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty(0))
-        monkeypatch.setattr(core, "_TRIL", (np.empty(0, np.intp), np.empty(0, np.intp)))
+        monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty((0, 0)))
         results, errors = {}, []
 
         def work(i, n):
