@@ -11,7 +11,8 @@ built so far and one division, O(n^2) per row.
 Products take row i as a vector times the leading (i+1)-block, integer powers
 are binary powering over that product, and row i of the scaled exponential is
 row i of the Taylor exponential of the leading (i+1)-block, evaluated without
-a linear solve.  None of these needs a distinct spectrum.
+a linear solve.  None of these needs a distinct spectrum.  A result that
+leaves the double range raises Overflow naming its first order.
 
 All values are immutable after construction and all operations are pure
 functions, so instances may be shared freely across threads.
@@ -115,7 +116,7 @@ class MatryoshkanMatrix:
     and the first k*(k+1)//2 entries are the order-k leading block.
     """
 
-    __slots__ = ("order", "_data", "_coincident")
+    __slots__ = ("order", "_data")
 
     def __init__(self, order: int, packed):
         _check_order(order)
@@ -143,7 +144,6 @@ class MatryoshkanMatrix:
         dense.setflags(write=False)
         object.__setattr__(self, "order", dense.shape[0])
         object.__setattr__(self, "_data", dense)
-        object.__setattr__(self, "_coincident", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatryoshkanMatrix is immutable")
@@ -218,15 +218,12 @@ class MatryoshkanMatrix:
 
     def coincident_pairs(self) -> tuple[tuple[int, int], ...]:
         """1-based diagonal index pairs that coincide under DISTINCT_RTOL."""
-        if self._coincident is None:
-            d = self.diagonal()
-            a = np.abs(d)
-            tol = DISTINCT_RTOL * np.maximum(1.0, np.maximum(a[:, None], a[None, :]))
-            hit = np.triu(np.abs(d[:, None] - d[None, :]) <= tol, k=1)
-            i, j = np.nonzero(hit)  # row-major: ordered by i, then j
-            pairs = tuple(zip((i + 1).tolist(), (j + 1).tolist()))
-            object.__setattr__(self, "_coincident", pairs)
-        return self._coincident
+        d = self.diagonal()
+        a = np.abs(d)
+        tol = DISTINCT_RTOL * np.maximum(1.0, np.maximum(a[:, None], a[None, :]))
+        hit = np.triu(np.abs(d[:, None] - d[None, :]) <= tol, k=1)
+        i, j = np.nonzero(hit)  # row-major: ordered by i, then j
+        return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
 
     def __repr__(self) -> str:
         return f"MatryoshkanMatrix(order={self.order})"
@@ -348,16 +345,38 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
     return x
 
 
-def _trailing_rows(m: MatryoshkanMatrix, den: np.ndarray, diag) -> MatryoshkanMatrix:
-    """X with diagonal ``diag`` and, left of it, row i = (M[i, :i] @ X[:i, :i])
+def _trailing_rows(L: np.ndarray, den: np.ndarray, diag) -> np.ndarray:
+    """X with diagonal ``diag`` and, left of it, row i = (L[i, :i] @ X[:i, :i])
     / den[i, :i]: one product of width i, so X nests bit for bit.  A wider
     product changes the bits: BLAS rounding depends on the column count."""
-    n = m.order
-    L = m.dense()
+    n = L.shape[0]
     X = np.zeros((n, n))
     X[np.diag_indices(n)] = diag
     for i in range(1, n):
         X[i, :i] = (L[i, :i] @ X[:i, :i]) / den[i, :i]
+    return X
+
+
+def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y for lower-triangular X and Y, row i as X[i] times the leading
+    (i+1)-block of Y."""
+    Z = np.zeros_like(X)
+    for i in range(X.shape[0]):
+        Z[i, : i + 1] = X[i, : i + 1] @ Y[: i + 1, : i + 1]
+    return Z
+
+
+def _checked(what: str, compute) -> MatryoshkanMatrix:
+    """The lower-triangular array ``compute()`` returns, evaluated without
+    numpy's overflow and invalid-value warnings, or Overflow naming its
+    first row that is not finite.  Row i depends on the leading (i+1)-block alone, so that
+    row is the first order whose result leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = compute()
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise Overflow(f"{what} exceeded the double-precision range at order {k}")
     return MatryoshkanMatrix._own(X)
 
 
@@ -395,7 +414,7 @@ def extend(
 def add(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     """Entrywise sum; 0.0 + 0.0 keeps the upper triangle exact zeros."""
     _require_same_order(x, y)
-    return MatryoshkanMatrix._own(x.dense() + y.dense())
+    return _checked("matrix sum", lambda: x.dense() + y.dense())
 
 
 def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -406,12 +425,7 @@ def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     the whole matrices does not, because its blocking depends on the order.
     """
     _require_same_order(x, y)
-    X = x.dense()
-    Y = y.dense()
-    Z = np.zeros_like(X)
-    for i in range(x.order):
-        Z[i, : i + 1] = X[i, : i + 1] @ Y[: i + 1, : i + 1]
-    return MatryoshkanMatrix._own(Z)
+    return _checked("matrix product", lambda: _product(x.dense(), y.dense()))
 
 
 def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -425,36 +439,35 @@ def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise SingularMatrix(int(zero[0]) + 1)
-    return _trailing_rows(m, np.broadcast_to(-d[:, None], (m.order, m.order)), 1.0 / d)
+    den = np.broadcast_to(-d[:, None], (m.order, m.order))
+    return _checked("matrix inverse", lambda: _trailing_rows(m.dense(), den, 1.0 / d))
 
 
 def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
-    """Integer power M^k by binary powering over ``multiply``.
+    """Integer power M^k by binary powering over the row-wise product.
 
     Every product is row-nested, so the power is too; repeated diagonals
     need no special care.
 
     Raises:
         InvalidDimension: k is negative.
-        Overflow: an entry left the double-precision range.
     """
     if k < 0:
         raise InvalidDimension(f"exponent must be >= 0, got {k}")
     if k == 0:
         return MatryoshkanMatrix.identity(m.order)
-    result = None
-    base = m
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def powering() -> np.ndarray:
+        result, base, e = None, m.dense(), k
         while True:
-            if k & 1:
-                result = base if result is None else multiply(result, base)
-            k >>= 1
-            if not k:
-                break
-            base = multiply(base, base)
-    if not np.all(np.isfinite(result.dense())):
-        raise Overflow("matrix power exceeded the double-precision range")
-    return result
+            if e & 1:
+                result = base if result is None else _product(result, base)
+            e >>= 1
+            if not e:
+                return result
+            base = _product(base, base)
+
+    return _checked("matrix power", powering)
 
 
 def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
@@ -468,21 +481,19 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
 
     Raises:
         InvalidInput: t is not finite.
-        Overflow: an entry left the double-precision range.
     """
     t = float(t)
     if not math.isfinite(t):
         raise InvalidInput(f"t must be finite, got {t}")
-    n = m.order
     L = m.dense()
-    E = np.zeros((n, n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
+
+    def rows() -> np.ndarray:
+        E = np.zeros_like(L)
+        for i in range(m.order):
             E[i, : i + 1] = _taylor_exp(L[: i + 1, : i + 1] * t)[i]
-        E[np.diag_indices(n)] = np.exp(m.diagonal() * t)
-    if not np.all(np.isfinite(E)):
-        raise Overflow("matrix exponential exceeded the double-precision range")
-    return MatryoshkanMatrix._own(E)
+        return E
+
+    return _checked("matrix exponential", rows)
 
 
 def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
@@ -497,4 +508,5 @@ def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
     if pairs:
         raise DegenerateSpectrum(pairs)
     d = m.diagonal()
-    return EigenPair(U=_trailing_rows(m, d[None, :] - d[:, None], 1.0), D=d.copy())
+    U = _checked("eigenvector matrix", lambda: _trailing_rows(m.dense(), d - d[:, None], 1.0))
+    return EigenPair(U=U, D=d.copy())

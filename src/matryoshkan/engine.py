@@ -241,22 +241,14 @@ def transient_scalar(
     return float(transient_vector(system.leading(n), head, t).values[-1])
 
 
-def _diagonal_signs(theta: MatryoshkanMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The positions (from 1) of the zero and of the positive diagonal entries."""
-    d = theta.diagonal()
-    zero, positive = [], []
-    for i in np.flatnonzero(d >= 0.0):
-        (zero if d[i] == 0.0 else positive).append(int(i) + 1)
-    return tuple(zero), tuple(positive)
-
-
 def _require_stable(system: CoefficientSystem) -> None:
-    zero, positive = _diagonal_signs(system.theta)
-    if zero or positive:
-        k = min(zero + positive)
-        detail = "zero" if k in zero else "nonnegative"
+    d = system.theta.diagonal()
+    unstable = np.flatnonzero(d >= 0.0)
+    if unstable.size:
+        k = int(unstable[0])
+        detail = "zero" if d[k] == 0.0 else "nonnegative"
         raise NonStationary(
-            f"{detail} diagonal entry at position {k}: no stationary moments"
+            f"{detail} diagonal entry at position {k + 1}: no stationary moments"
         )
 
 
@@ -267,8 +259,8 @@ def steady_vector(system: CoefficientSystem) -> MomentVector:
 
 
 def steady_nth(system: CoefficientSystem, n: int) -> float:
-    """The n-th stationary moment, from the leading order-n system alone."""
-    _require_stable(system)
+    """The n-th stationary moment, from the leading order-n system alone, so
+    only the first n diagonal entries need to be negative."""
     _check_moment_order(system, n)
     return steady_vector(system.leading(n)).values[-1]
 
@@ -320,7 +312,9 @@ class ValidationReport:
 def validate(system: CoefficientSystem) -> ValidationReport:
     """Report the zero, positive and coincident diagonals and, for a stable
     system, the first order at which ``steady_vector`` overflows."""
-    zero, positive = _diagonal_signs(system.theta)
+    d = system.theta.diagonal()
+    zero = tuple((np.flatnonzero(d == 0.0) + 1).tolist())
+    positive = tuple((np.flatnonzero(d > 0.0) + 1).tolist())
     stable = not zero and not positive
     return ValidationReport(
         order=system.order,

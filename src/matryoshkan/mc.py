@@ -136,7 +136,7 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         up, down = a[0] + a[1] * x, a[2] + a[3] * x
         if (up < 0.0).any() or (down < 0.0).any():
             state = x[np.argmin(np.minimum(up, down))]
-            raise InvalidInput(f"negative jump rate reached at state {state!r}")
+            raise InvalidInput(f"negative jump rate reached at state {float(state)!r}")
         return up, up + down, up + down + a[9]
 
     def run(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -60,6 +60,9 @@ def test_extend_rejects_wrong_row_length():
 def test_from_dense_rejects_upper_triangle():
     with pytest.raises(InvalidDimension):
         M([[1.0, 0.5], [0.0, 1.0]])
+    for shape in ((1, 2), (3,), (2, 2, 2)):
+        with pytest.raises(InvalidDimension, match="expected a square matrix"):
+            M(np.zeros(shape))
 
 
 def test_constructors_reject_non_positive_orders():
@@ -70,6 +73,10 @@ def test_constructors_reject_non_positive_orders():
             mk.MatryoshkanMatrix.zeros(order)
     with pytest.raises(InvalidDimension):
         mk.MatryoshkanMatrix.from_diagonal([])
+    # the packed constructor takes exactly one triangle of its order
+    for packed in ([1.0, 2.0], [1.0] * 4):
+        with pytest.raises(InvalidDimension, match="order 2 needs 3 packed entries"):
+            mk.MatryoshkanMatrix(2, packed)
 
 
 def test_accessors(rng):
@@ -81,6 +88,12 @@ def test_accessors(rng):
     assert np.array_equal(m.leading(4).dense(), d[:4, :4])
     assert m.packed[: 4 * 5 // 2] is not None
     assert np.array_equal(m.leading(4).packed, m.packed[:10])
+    for i in (-1, 6):
+        with pytest.raises(InvalidDimension, match=f"row {i} out of range for order 6"):
+            m.sub_row(i)
+    for k in (0, 7):
+        with pytest.raises(InvalidDimension, match=f"leading block order {k} out of range"):
+            m.leading(k)
 
 
 # -- add / multiply -----------------------------------------------------------
@@ -171,6 +184,30 @@ def test_power_rejects_negative_and_accepts_repeated_diagonal():
 def test_power_overflow():
     with pytest.raises(Overflow, match="matrix power"):
         mk.power(mk.MatryoshkanMatrix.from_diagonal([1e200]), 2)
+
+
+def test_every_operation_raises_overflow_naming_the_first_order():
+    # row i depends on the leading (i+1)-block alone, so the first row that
+    # is not finite is the first order whose result leaves the double range;
+    # a numpy RuntimeWarning leaking out would fail the suite's filter
+    theta = mk.build(mk.GrowthCollapseSpec(1e30, 1.0), 30)[0].theta
+    for op in (mk.inverse, lambda m: mk.eigendecompose(m).U):
+        with pytest.raises(Overflow, match="at order 11$"):
+            op(theta)
+        head = op(theta.leading(10))
+        assert np.all(np.isfinite(head.dense()))
+        assert np.array_equal(head.leading(5).dense(), op(theta.leading(5)).dense())
+    one = mk.MatryoshkanMatrix.from_diagonal([1e200])
+    big = mk.MatryoshkanMatrix.from_diagonal([1e308])
+    with pytest.raises(Overflow, match="matrix product .* at order 1$"):
+        mk.multiply(one, one)
+    with pytest.raises(Overflow, match="matrix sum .* at order 1$"):
+        mk.add(big, big)
+    second = M([[2.0, 0.0], [1.0, 1e200]])
+    with pytest.raises(Overflow, match="matrix power .* at order 2$"):
+        mk.power(second, 2)
+    with pytest.raises(Overflow, match="matrix exponential .* at order 2$"):
+        mk.exp_scaled(M([[1.0, 0.0], [1.0, 800.0]]), 1.0)
 
 
 # -- exponential --------------------------------------------------------------

@@ -188,6 +188,12 @@ def test_negative_time_rejected():
         mk.transient_vector(system, init, -1.0)
 
 
+def test_shift_of_another_length_is_rejected():
+    for shift in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(InvalidInput, match=f"shift vector length {len(shift)} != order 2"):
+            mk.CoefficientSystem(mk.MatryoshkanMatrix.identity(2), shift)
+
+
 def test_initial_vector_of_another_order_is_rejected():
     system, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 3)
     init = mk.InitialMomentVector.from_state(1.0, 2)
@@ -283,6 +289,27 @@ def test_steady_rejects_unstable_and_singular():
     flat, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 1.0), 2)  # beta == alpha
     with pytest.raises(NonStationary):
         mk.steady_nth(flat, 1)
+
+
+@pytest.mark.parametrize("order", [3, 4, 10, 60])
+def test_steady_nth_needs_only_the_leading_diagonals(order):
+    # geometric Brownian motion with theta = -1, sigma = 1 has diagonal
+    # -k + k(k-1)/2 = (-1, -1, 0, 2, ...): the first two stationary moments
+    # exist, although the whole system has none
+    system, _ = mk.build(mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1.0, gamma=2.0), order)
+    assert system.theta.diagonal()[:3].tolist() == [-1.0, -1.0, 0.0]
+    for k in (1, 2):
+        head = mk.steady_vector(system.leading(k)).values[-1]
+        assert mk.steady_nth(system, k).hex() == head.hex()
+    assert [mk.steady_nth(system, k) for k in (1, 2)] == [1.0, 2.0]
+    for k in range(3, order + 1):
+        with pytest.raises(NonStationary, match="zero diagonal entry at position 3"):
+            mk.steady_nth(system, k)
+    with pytest.raises(NonStationary, match="position 3"):
+        mk.steady_vector(system)
+    # the moment order is checked before stability
+    with pytest.raises(InvalidInput, match=f"moment order {order + 1} out of range"):
+        mk.steady_nth(system, order + 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -77,6 +77,12 @@ def test_overflow_on_unstable_step():
     _, system, init, _ = build_fixture("shotnoise", 10)
     with pytest.raises(Overflow):
         mk.euler_solve(system, init, mk.EulerConfig(step=1.0, horizon=2000.0))
+    # the order-1 loop stops at the first non-finite step: s doubles each
+    # step and leaves the double range after 1,024 of the 10^6
+    scalar = mk.CoefficientSystem(mk.MatryoshkanMatrix.initial(1.0), [0.0])
+    init = mk.InitialMomentVector.from_state(1.0, 1)
+    with pytest.raises(Overflow, match="Euler iteration"):
+        mk.euler_solve(scalar, init, mk.EulerConfig(step=1.0, horizon=1e6))
 
 
 def test_stable_run_past_1e300_returns_finite_values():
@@ -96,6 +102,8 @@ def test_error_metrics_examples():
     assert rel_err[0] == pytest.approx(0.05, rel=1e-12)
     same = mk.error_metrics(b, b)
     assert same[0][0] == 0.0 and same[1][0] == 0.0
+    with pytest.raises(InvalidInput, match="order mismatch: 1 vs 2"):
+        mk.error_metrics(a, mk.MomentVector(1.0, [2.0, 4.0]))
 
 
 def test_error_metrics_zero_reference():

@@ -138,6 +138,8 @@ def test_estimate_moments_degenerate_and_small_samples():
         mk.estimate_moments(np.array([1.0]), 1)
     with pytest.raises(InvalidInput):
         mk.estimate_moments(np.array([]), 1)
+    with pytest.raises(InvalidInput, match="max_order must be >= 1, got 0"):
+        mk.estimate_moments(np.array([1.0, 2.0]), 0)
 
 
 def test_estimate_moments_raise_overflow_past_the_double_range():
@@ -169,8 +171,38 @@ def test_generic_simulation_rejects_negative_rates():
         coeffs=(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         up=mk.DeterministicJumps(1.0),
     )
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"at state 0\.0$"):
         mk.simulate(spec, mk.SimConfig(paths=10, horizon=1.0, seed=0))
+    # the state prints as a plain float, not as a numpy repr
+    drifting = mk.GenericGeneratorSpec(
+        coeffs=(-1.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0),
+        up=mk.DeterministicJumps(1.0),
+        x0=1.0,
+    )
+    with pytest.raises(InvalidInput, match=r"^negative jump rate reached at state 1\.0$"):
+        mk.simulate(drifting, mk.SimConfig(paths=10, horizon=1.0, seed=0))
+    collapsing = mk.GenericGeneratorSpec((0.0,) * 9 + (-0.5,), collapse=mk.UniformJumps())
+    with pytest.raises(InvalidInput, match=r"^negative collapse rate -0\.5$"):
+        mk.simulate(collapsing, mk.SimConfig(paths=10, horizon=1.0, seed=0))
+
+
+def test_simulate_rejects_unsupported_objects():
+    with pytest.raises(InvalidInput, match="unsupported process spec: object"):
+        mk.simulate(object(), mk.SimConfig(paths=10, horizon=1.0, seed=0))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
+def test_diffusion_at_time_zero_is_the_initial_state(gamma):
+    spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1.0, gamma=gamma, x0=2.5)
+    assert mk.simulate(spec, mk.SimConfig(paths=5, horizon=0.0, seed=0)).tolist() == [2.5] * 5
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_diffusion_law_past_the_double_range_raises_overflow(gamma):
+    # e^{theta t} = e^1000 leaves the double range in the exact law's mean
+    spec = mk.ItoSpec(mu=1.0, theta=1000.0, sigma=1.0, gamma=gamma, x0=1.0)
+    with pytest.raises(Overflow, match="transition law at t = 1.0"):
+        mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
 
 
 def test_explosive_rate_bound_raises_overflow():

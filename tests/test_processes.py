@@ -29,6 +29,8 @@ def test_binomial_rows_exact_up_to_56():
     for n in (0, 1, 5, 23, 56):
         row = mk.processes.binomial_row(n)
         assert np.array_equal(row, [float(math.comb(n, k)) for k in range(n + 1)])
+    with pytest.raises(InvalidInput, match="binomial row index must be >= 0, got -1"):
+        mk.processes.binomial_row(-1)
 
 
 def test_pascal_matryoshkan_unit():
@@ -122,6 +124,9 @@ def test_jump_moment_values():
                 assert law.moment(k) == float(exact), (rate, k)
     exact = [float(Fraction(1, k + 1)) for k in range(1, 201)]
     assert mk.UniformJumps().moments(200).tolist() == exact
+    # the base class states no sequence of its own
+    with pytest.raises(NotImplementedError):
+        mk.JumpMoments().moment(2)
 
 
 @pytest.mark.parametrize("location, scale", [(0.2, 0.9), (-0.25, 0.6), (-0.5, 0.2), (0.1, 0.7)])
@@ -199,19 +204,38 @@ def test_explicit_moments_exhaustion():
 # -- spec validation --------------------------------------------------------------
 
 
-def test_spec_validation_errors():
-    with pytest.raises(InvalidInput):
-        mk.HawkesSpec(lambda_star=0.0, alpha=1.0, beta=2.0)
-    with pytest.raises(InvalidInput):
-        mk.ShotNoiseSpec(rate=-1.0, decay=1.0, jumps=mk.UniformJumps())
-    with pytest.raises(UnsupportedGamma):
-        mk.ItoSpec(mu=0.0, theta=-1.0, sigma=1.0, gamma=2.5)
-    with pytest.raises(InvalidInput):
-        mk.EphemeralSpec(baseline=1.0, jump=2.0, expiry=2.0)
-    with pytest.raises(InvalidInput):
-        mk.EphemeralSpec(baseline=1.0, jump=1.0, expiry=2.0, x0=-1)
-    with pytest.raises(InvalidInput):
-        mk.GenericGeneratorSpec(coeffs=(1.0,) * 9)
+# record.field -> (a record that breaks its range check, the error, the
+# opening words of the message, which name the field)
+_RANGE_ERRORS = {
+    "HawkesSpec.lambda_star": (lambda: mk.HawkesSpec(0.0, 1.0, 2.0), InvalidInput, "lambda_star must be > 0"),
+    "HawkesSpec.alpha": (lambda: mk.HawkesSpec(1.0, 0.0, 2.0), InvalidInput, "alpha must be > 0"),
+    "HawkesSpec.beta": (lambda: mk.HawkesSpec(1.0, 1.0, -2.0), InvalidInput, "beta must be > 0"),
+    "HawkesSpec.x0": (lambda: mk.HawkesSpec(1.0, 1.0, 2.0, x0=-1.0), InvalidInput, "initial intensity must be > 0"),
+    "ShotNoiseSpec.rate": (lambda: mk.ShotNoiseSpec(-1.0, 1.0, mk.UniformJumps()), InvalidInput, "arrival rate must be > 0"),
+    "ShotNoiseSpec.decay": (lambda: mk.ShotNoiseSpec(1.0, 0.0, mk.UniformJumps()), InvalidInput, "decay must be > 0"),
+    "ShotNoiseSpec.x0": (lambda: mk.ShotNoiseSpec(1.0, 1.0, mk.UniformJumps(), -1.0), InvalidInput, "initial value must be >= 0"),
+    "ItoSpec.gamma": (lambda: mk.ItoSpec(0.0, -1.0, 1.0, 2.5), UnsupportedGamma, "gamma must lie in [0, 2]"),
+    "GrowthCollapseSpec.growth": (lambda: mk.GrowthCollapseSpec(0.0, 1.0), InvalidInput, "growth rate must be > 0"),
+    "GrowthCollapseSpec.collapse_rate": (lambda: mk.GrowthCollapseSpec(1.0, -1.0), InvalidInput, "collapse rate must be > 0"),
+    "GrowthCollapseSpec.x0": (lambda: mk.GrowthCollapseSpec(1.0, 1.0, -1.0), InvalidInput, "initial value must be >= 0"),
+    "EphemeralSpec.baseline": (lambda: mk.EphemeralSpec(0.0, 1.0, 2.0), InvalidInput, "baseline must be > 0"),
+    "EphemeralSpec.jump": (lambda: mk.EphemeralSpec(1.0, 0.0, 2.0), InvalidInput, "jump must be > 0"),
+    "EphemeralSpec.expiry": (lambda: mk.EphemeralSpec(1.0, 2.0, 2.0), InvalidInput, "expiry rate must exceed the jump"),
+    "EphemeralSpec.x0": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, -1), InvalidInput, "initial count must be a nonnegative"),
+    "EphemeralSpec.x0-fraction": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, 0.5), InvalidInput, "initial count must be a nonnegative"),
+    "GenericGeneratorSpec.coeffs": (lambda: mk.GenericGeneratorSpec((1.0,) * 9), InvalidInput, "expected 10 generator coefficients"),
+    "DeterministicJumps.size": (lambda: mk.DeterministicJumps(-1.0), InvalidInput, "jump size must be >= 0"),
+    "ExponentialJumps.rate": (lambda: mk.ExponentialJumps(0.0), InvalidInput, "exponential rate must be > 0"),
+    "LogNormalJumps.scale": (lambda: mk.LogNormalJumps(0.0, -1.0), InvalidInput, "lognormal scale must be >= 0"),
+    "ExplicitJumps.values": (lambda: mk.ExplicitJumps(()), InvalidInput, "explicit moment sequence is empty"),
+}
+
+
+@pytest.mark.parametrize("field", list(_RANGE_ERRORS))
+def test_spec_validation_errors(field):
+    make, error, message = _RANGE_ERRORS[field]
+    with pytest.raises(error, match="^" + re.escape(message)):
+        make()
 
 
 @pytest.mark.parametrize(
