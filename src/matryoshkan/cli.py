@@ -47,7 +47,7 @@ _DESCRIPTOR_FLAGS = [flag for _, _, flags in _FAMILIES.values() for flag in flag
 _BENCH_COLUMNS = ["method", "delta", "run_time_seconds", "abs_error", "rel_error"]
 
 
-class _CLIError(Exception):
+class _CLIError(MatryoshkanError):
     """Invalid command-line input; the message names the offending flag."""
 
 
@@ -62,9 +62,6 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             text = _dispatch(args)
-    except _CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Overflow as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

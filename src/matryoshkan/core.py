@@ -253,7 +253,12 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     """
     options = []
     for index, (p, q, theta) in enumerate(_TAYLOR_DEGREES):
-        s = 0 if norm <= theta else math.ceil(math.log2(norm / theta))
+        ratio = norm / theta
+        if ratio == math.inf:
+            # never the cheapest: the last degree's ratio is always finite,
+            # and there it costs at least 6 products plus squarings less
+            continue
+        s = 0 if norm <= theta else math.ceil(math.log2(ratio))
         options.append((p + q - 2 + s, s, index))
     _, s, index = min(options)
     return index, s
@@ -294,7 +299,7 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """
     norm = float(np.abs(B).sum(axis=0).max())
     if not math.isfinite(norm):
-        raise Overflow("generator entries times t exceed the double-precision range")
+        raise _overflow("generator times t")
     index, s = _taylor_degree(norm)
     coef = _TAYLOR_COEF[index]
     p = coef.shape[1] - 1
@@ -366,18 +371,33 @@ def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Z
 
 
+def _overflow(what: str, order: int | None = None) -> Overflow:
+    """The one Overflow wording, naming the first order where one can be."""
+    at = "" if order is None else f" of order {order}"
+    return Overflow(f"{what}{at} leaves the double range")
+
+
+def _overflow_order(values: np.ndarray) -> int | None:
+    """The first order that is not a finite double (entry k of a vector, row k
+    of a matrix), or None; an empty vector has none."""
+    finite = np.isfinite(values)
+    finite = finite.all(axis=1) if finite.ndim == 2 else finite
+    return None if finite.all() else int(np.argmin(finite)) + 1
+
+
+def _in_range(what: str, values: np.ndarray) -> np.ndarray:
+    """The values, or Overflow naming the first order that overflows."""
+    k = _overflow_order(values)
+    if k is not None:
+        raise _overflow(what, k)
+    return values
+
+
 def _checked(what: str, compute) -> MatryoshkanMatrix:
-    """The lower-triangular array ``compute()`` returns, evaluated without
-    numpy's overflow and invalid-value warnings, or Overflow naming its
-    first row that is not finite.  Row i depends on the leading (i+1)-block alone, so that
-    row is the first order whose result leaves the double range."""
+    """The lower-triangular ``compute()``, evaluated without numpy warnings,
+    and in range; row i depends on the leading (i+1)-block alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        X = compute()
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
-        raise Overflow(f"{what} exceeded the double-precision range at order {k}")
-    return MatryoshkanMatrix._own(X)
+        return MatryoshkanMatrix._own(_in_range(what, compute()))
 
 
 # -- operations -----------------------------------------------------------

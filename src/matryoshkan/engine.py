@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import MatryoshkanMatrix
-from .errors import InvalidInput, NonStationary, Overflow
+from .core import MatryoshkanMatrix, _in_range, _overflow, _overflow_order
+from .errors import InvalidInput, NonStationary
 
 __all__ = [
     "STATIONARY",
@@ -42,21 +42,6 @@ _LOG_EPS = math.log(np.finfo(np.float64).eps)
 # Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
 # is identically zero and takes the lowest.
 _GRADE_EXP = 1000
-
-
-def _overflow_order(values: np.ndarray) -> int | None:
-    """The first order whose value is not a finite double, or None: a value
-    overflows exactly when it is not finite."""
-    finite = np.isfinite(values)
-    return None if finite.all() else int(np.argmin(finite)) + 1
-
-
-def _in_range(what: str, values: np.ndarray) -> np.ndarray:
-    """The values, or Overflow naming the first order that overflows."""
-    k = _overflow_order(values)
-    if k is not None:
-        raise Overflow(f"{what} of order {k} leaves the double range")
-    return values
 
 
 def _check_order(order: int) -> None:
@@ -228,7 +213,7 @@ def transient_vector(
             values = anchor + values
     # the dense product spreads one overflowed order over all, so name none
     if _overflow_order(values) is not None:
-        raise Overflow("transient moments exceeded the double-precision range")
+        raise _overflow("transient flow")
     return MomentVector(t, values)
 
 

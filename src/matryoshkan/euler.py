@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    CoefficientSystem, InitialMomentVector, MomentVector, _check_initial, _check_moment_order,
-    _overflow_order, transient_vector,
-)
-from .errors import InvalidInput, Overflow
+from .core import _overflow, _overflow_order
+from .engine import (CoefficientSystem, InitialMomentVector, MomentVector, _check_initial,
+                     _check_moment_order, transient_vector)
+from .errors import InvalidInput
 
 __all__ = ["BenchRecord", "EulerConfig", "bench", "error_metrics", "euler_solve"]
 
@@ -87,7 +86,7 @@ def euler_solve(
                     break
     # one overflowed order turns every order to NaN through T s, so name none
     if _overflow_order(s) is not None:
-        raise Overflow("Euler iteration left the double-precision range")
+        raise _overflow("Euler iteration")
     return MomentVector(cfg.horizon, s)
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimatePrecisionWarning, InvalidInput, Overflow
+from .core import _in_range, _overflow
+from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
 __all__ = ["MomentEstimate", "SimConfig", "estimate_moments", "simulate"]
@@ -95,15 +96,15 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
         raise InvalidInput("at least two paths are needed for a standard error")
     if max_order < 1:
         raise InvalidInput(f"max_order must be >= 1, got {max_order}")
-    out = []
+    pairs = []
     root_n = math.sqrt(values.size)
     for k in range(1, max_order + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             powers = values**k
-            mean = float(powers.mean())
-            se = float(powers.std(ddof=1) / root_n)
-        if not (math.isfinite(mean) and math.isfinite(se)):
-            raise Overflow(f"sample moment of order {k} or its standard error overflows")
+            pairs.append((float(powers.mean()), float(powers.std(ddof=1) / root_n)))
+    _in_range("sample moment estimate", np.array(pairs))
+    out = []
+    for k, (mean, se) in enumerate(pairs, start=1):
         if mean != 0.0 and se > 0.2 * abs(mean):
             warnings.warn(
                 f"relative standard error above 20% at order {k}; the sample "
@@ -150,7 +151,7 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
                 bound = np.maximum(edges(x)[2], edges(x_end)[2])
                 s = rng.standard_exponential(live.size) / bound
             if not np.isfinite(bound).all():
-                raise Overflow("the jump-rate bound left the double-precision range")
+                raise _overflow("jump-rate bound")
             done = ~(s < window)
             out[live[done]] = x_end[done]
             go = ~done
@@ -190,8 +191,9 @@ def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
             scale = sigma**2 * integral(theta) / 4.0
             df, nonc = 4.0 * mu / sigma**2, x0 * math.exp(theta * t) / scale
             return lambda rng, m: scale * rng.noncentral_chisquare(df, nonc, m)
-    except OverflowError:
-        raise Overflow(f"transition law at t = {t!r} exceeds the double range") from None
+    except (OverflowError, ZeroDivisionError):
+        # sigma**2 may also underflow to 0 and be divided by
+        raise _overflow(f"transition law at t = {t!r}") from None
 
     steps = max(1, round(t / cfg.sim_step))
     dt = t / steps

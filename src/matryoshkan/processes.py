@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MatryoshkanMatrix
-from .engine import CoefficientSystem, InitialMomentVector, _check_order, _in_range
+from .core import MatryoshkanMatrix, _in_range
+from .engine import CoefficientSystem, InitialMomentVector, _check_order
 from .errors import (
     InsufficientMoments,
     InvalidInput,
@@ -96,6 +96,15 @@ def _require_finite(record) -> None:
                     raise InvalidInput(f"{name}[{i}] must be finite, got {v!r}")
         elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise InvalidInput(f"{name} must be finite, got {value!r}")
+
+
+def _squared(x: float) -> float:
+    """x**2, or inf where Python's float power raises OverflowError; x * x
+    would round differently."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 # -- jump-size moment providers --------------------------------------------
@@ -250,7 +259,7 @@ class ExplicitJumps(JumpMoments):
             return
         padded = (1.0,) + vals
         for k in range(1, len(padded) - 1):
-            if padded[k + 1] * padded[k - 1] < padded[k] ** 2 * (1.0 - 1e-9):
+            if padded[k + 1] * padded[k - 1] < _squared(padded[k]) * (1.0 - 1e-9):
                 warnings.warn(
                     f"explicit moment sequence is not log-convex at order {k}",
                     MomentSequenceWarning,
@@ -357,7 +366,8 @@ class ItoSpec:
                 " use ito_gamma_bounds for fractional gamma"
             )
         diffusion = [0.0, 0.0, 0.0]
-        diffusion[int(self.gamma)] = self.sigma**2 / 2
+        # an infinite coefficient is rejected by the generic record
+        diffusion[int(self.gamma)] = _squared(self.sigma) / 2
         return GenericGeneratorSpec(
             coeffs=(0.0, 0.0, 0.0, 0.0, self.mu, self.theta, *diffusion, 0.0),
             x0=self.x0,

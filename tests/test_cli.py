@@ -453,6 +453,46 @@ def test_moments_outside_the_double_range_exit_three(capsys, args):
     assert "warning" not in err
 
 
+def test_time_past_1e300_gives_the_stationary_moments(capsys):
+    # the smallest Taylor degree's norm ratio overflows there; the kernel
+    # skips it rather than raise OverflowError
+    params = ["--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2", "--order", "5"]
+    code, out, err = run(capsys, "moments", *params, "--time", "1e301")
+    assert code == 0 and err == ""
+    _, steady, _ = run(capsys, "steady", *params)
+    assert json.loads(out)["payload"] == json.loads(steady)["payload"]
+
+
+@pytest.mark.parametrize(
+    "args, code, err",
+    [
+        (
+            ["moments", "--process", "ito", "--params", "mu=1,theta=-1,sigma=1e200,gamma=1",
+             "--order", "2", "--time", "1"],
+            2,
+            "error: coeffs[7] must be finite, got inf\n",
+        ),
+        (
+            ["steady", "--process", "shotnoise", "--params", "lambda=1,beta=4",
+             "--jumps", "explicit:1e200,1e300", "--order", "2"],
+            3,
+            "warning: MomentSequenceWarning: explicit moment sequence is not log-convex at order 1\n"
+            "error: Overflow: stationary moment of order 2 leaves the double range\n",
+        ),
+        (
+            ["simulate", "--process", "ito", "--params", "mu=1,theta=-1,sigma=1e-200,gamma=1,x0=1",
+             "--order", "2", "--time", "1", "--paths", "10", "--seed", "1"],
+            3,
+            "error: Overflow: transition law at t = 1.0 leaves the double range\n",
+        ),
+    ],
+    ids=["sigma-squared-overflows", "explicit-square-overflows", "sigma-squared-underflows"],
+)
+def test_extreme_numeric_input_is_a_library_error(capsys, args, code, err):
+    # each once escaped as a raw OverflowError or ZeroDivisionError (exit 1)
+    assert run(capsys, *args) == (code, "", err)
+
+
 def test_bench_rejects_non_finite_deltas(capsys):
     for bad in ("nan", "inf"):
         code, out, err = run(

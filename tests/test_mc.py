@@ -205,6 +205,13 @@ def test_diffusion_law_past_the_double_range_raises_overflow(gamma):
         mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
 
 
+def test_square_root_law_with_vanishing_sigma_raises_overflow():
+    # sigma**2 underflows to 0, and the law divides by it
+    spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1e-200, gamma=1.0, x0=1.0)
+    with pytest.raises(Overflow, match=r"^transition law at t = 1\.0 leaves the double range$"):
+        mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
+
+
 def test_explosive_rate_bound_raises_overflow():
     # drift x' = x with jump rate x: the bound over the horizon leaves the
     # double range, where thinning can make no progress

@@ -110,7 +110,10 @@ def test_jump_moment_values():
     assert mk.LogNormalJumps(0.0, 1.0).moment(3) == pytest.approx(math.exp(4.5), rel=1e-15)
     assert mk.UniformJumps().moment(3) == pytest.approx(0.25, rel=1e-15)
     assert mk.ExplicitJumps((0.5, 0.4)).moment(2) == 0.4
-    assert mk.ExplicitJumps((0.5, 0.4)).moment(0) == mk.UniformJumps().moment(0) == 1.0
+    # moments(0) is empty, and the range rule must accept an empty vector
+    for law in (mk.DeterministicJumps(1.5), mk.ExponentialJumps(0.7), mk.LogNormalJumps(0.2, 0.9),
+                mk.UniformJumps(), mk.ExplicitJumps((0.5, 0.4))):
+        assert law.moment(0) == 1.0, law
     # k! / r^k is one integer division of k! q^k by p^k for r = p / q, so a
     # moment past 170! stays finite and a tiny one underflows to zero
     assert mk.ExponentialJumps(2.0).moment(171) == 4.146186628330626e257
@@ -190,6 +193,14 @@ def test_explicit_moments_warn_when_invalid():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mk.ExplicitJumps((0.5, 1.0 / 3.0, 0.25))  # uniform moments: valid
+
+
+def test_squares_past_the_double_range_are_library_errors():
+    # Python's float ** raises OverflowError where a float product gives inf
+    with pytest.raises(InvalidInput, match=r"^coeffs\[7\] must be finite, got inf$"):
+        mk.build(mk.ItoSpec(1.0, -1.0, 1e200, 1.0), 2)
+    with pytest.warns(MomentSequenceWarning, match="not log-convex at order 1$"):
+        mk.ExplicitJumps((1e200, 1e300))
 
 
 def test_explicit_moments_exhaustion():
