@@ -253,9 +253,7 @@ def _dispatch(args) -> str:
         if args.trials < 1:
             raise _CLIError(f"--trials must be >= 1, got {args.trials}")
         system, init = processes.build(spec, args.order)
-        records = euler.bench(
-            system, init, args.time, args.order, deltas, args.trials
-        )
+        records = euler.bench(system, init, args.time, deltas, args.trials)
         payload = [
             {
                 "method": r.method,

@@ -89,11 +89,19 @@ _SPLIT_ORDER = 64
 # Squarings that e^B w finishes on the vector: 2^r matrix-vector products
 # replace the last r squarings.  r = 4 doubled the worst transient error.
 _VECTOR_SQUARINGS = 3
+# The most Euler steps, Euler-Maruyama steps or expected thinning proposals a
+# path may take; a run past it would not end in any useful time.
+_MAX_STEPS = 1e9
 
 
 def _check_order(order: int) -> None:
     if order < 1:
         raise InvalidDimension(f"order must be >= 1, got {order}")
+
+
+def _check_steps(what: str, count: float) -> None:
+    if count > _MAX_STEPS:
+        raise InvalidInput(f"{count:.3g} {what} per path exceed the limit of {_MAX_STEPS:.0e}")
 
 
 def _frozen(values) -> np.ndarray:
@@ -151,19 +159,9 @@ class MatryoshkanMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def initial(cls, value: float) -> "MatryoshkanMatrix":
-        """The order-1 base case of a nested sequence."""
-        return cls(1, [float(value)])
-
-    @classmethod
     def identity(cls, order: int) -> "MatryoshkanMatrix":
         _check_order(order)
         return cls.from_diagonal(np.ones(order))
-
-    @classmethod
-    def zeros(cls, order: int) -> "MatryoshkanMatrix":
-        _check_order(order)
-        return cls._own(np.zeros((order, order)))
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
@@ -211,10 +209,6 @@ class MatryoshkanMatrix:
         if not 1 <= k <= self.order:
             raise InvalidDimension(f"leading block order {k} out of range")
         return MatryoshkanMatrix._own(self._data[:k, :k].copy())
-
-    @property
-    def has_distinct_spectrum(self) -> bool:
-        return not self.coincident_pairs()
 
     def coincident_pairs(self) -> tuple[tuple[int, int], ...]:
         """1-based diagonal index pairs that coincide under DISTINCT_RTOL."""
@@ -418,7 +412,7 @@ def extend(
     if base is None:
         if r.shape[0] != 0:
             raise InvalidDimension("base case takes an empty row")
-        return MatryoshkanMatrix.initial(diag)
+        return MatryoshkanMatrix.from_diagonal([diag])
     if r.shape[0] != base.order:
         raise InvalidDimension(
             f"row length {r.shape[0]} != base order {base.order}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import MatryoshkanMatrix, _in_range, _overflow, _overflow_order
+from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overflow_order
 from .errors import InvalidInput, NonStationary
 
 __all__ = [
@@ -42,11 +42,6 @@ _LOG_EPS = math.log(np.finfo(np.float64).eps)
 # Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
 # is identically zero and takes the lowest.
 _GRADE_EXP = 1000
-
-
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise InvalidInput(f"order must be >= 1, got {order}")
 
 
 def _check_moment_order(system: CoefficientSystem, n: int) -> None:
@@ -260,9 +255,6 @@ class ValidationReport:
     coincident_pairs: tuple[tuple[int, int], ...]
     predicted_overflow_order: int | None
 
-    # a MatryoshkanMatrix is lower triangular by construction
-    triangular = True
-
     @property
     def singular(self) -> bool:
         return bool(self.zero_diagonals)
@@ -276,7 +268,7 @@ class ValidationReport:
         return not self.coincident_pairs
 
     def describe(self) -> str:
-        lines = [f"order: {self.order}", "triangular: yes"]
+        lines = [f"order: {self.order}"]
         if self.stationary:
             lines.append("stationary: yes")
         elif self.singular:

@@ -7,12 +7,12 @@ class MatryoshkanError(Exception):
     """Base class for all library-specific failures."""
 
 
-class InvalidDimension(MatryoshkanError):
-    """Operands have incompatible orders or malformed storage."""
-
-
 class InvalidInput(MatryoshkanError, ValueError):
     """A parameter value is outside the supported domain."""
+
+
+class InvalidDimension(InvalidInput):
+    """Operands have incompatible orders or malformed storage."""
 
 
 class SingularMatrix(MatryoshkanError):

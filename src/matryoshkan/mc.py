@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _in_range, _overflow
+from .core import _check_steps, _in_range, _overflow
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -66,7 +66,6 @@ class MomentEstimate:
     order: int
     mean: float
     std_error: float
-    paths: int
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -112,7 +111,7 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
                 EstimatePrecisionWarning,
                 stacklevel=2,
             )
-        out.append(MomentEstimate(order=k, mean=mean, std_error=se, paths=values.size))
+        out.append(MomentEstimate(order=k, mean=mean, std_error=se))
     return out
 
 
@@ -150,8 +149,10 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
                 x_end = flow(x, window)
                 bound = np.maximum(edges(x)[2], edges(x_end)[2])
                 s = rng.standard_exponential(live.size) / bound
-            if not np.isfinite(bound).all():
+            peak = float(bound.max())
+            if not math.isfinite(peak):
                 raise _overflow("jump-rate bound")
+            _check_steps("expected thinning proposals", peak * horizon)
             done = ~(s < window)
             out[live[done]] = x_end[done]
             go = ~done
@@ -195,6 +196,7 @@ def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
         # sigma**2 may also underflow to 0 and be divided by
         raise _overflow(f"transition law at t = {t!r}") from None
 
+    _check_steps("Euler-Maruyama steps", t / cfg.sim_step)
     steps = max(1, round(t / cfg.sim_step))
     dt = t / steps
     sqdt = math.sqrt(dt)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _in_range
-from .engine import CoefficientSystem, InitialMomentVector, _check_order
+from .core import MatryoshkanMatrix, _check_order, _in_range
+from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     InsufficientMoments,
     InvalidInput,
@@ -121,14 +121,6 @@ class JumpMoments:
     def moments(self, n: int) -> np.ndarray:
         """E[J^k] for k = 1..n."""
         raise NotImplementedError
-
-    def moment(self, k: int) -> float:
-        """E[J^k] for one k >= 0, the last entry of ``moments_from_zero(k)``."""
-        return float(self.moments_from_zero(k)[-1])
-
-    def moments_from_zero(self, n: int) -> np.ndarray:
-        """E[J^k] for k = 0..n, with the k = 0 entry pinned to 1."""
-        return np.concatenate([[1.0], self.moments(n)])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
@@ -531,7 +523,7 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     # (rate on x^j, rate on x^(j+1), E[(sign J)^i] for i = 0..n) of each active
     # jump term; negation is exact, so a down-jump's sign folds into E bit for bit
     jumps = [
-        (a[r], a[r + 1], law.moments_from_zero(n) * sign ** np.arange(n + 1.0))
+        (a[r], a[r + 1], np.concatenate(([1.0], law.moments(n))) * sign ** np.arange(n + 1.0))
         for r, law, sign in ((0, spec.up, 1.0), (2, spec.down, -1.0))
         if a[r] != 0.0 or a[r + 1] != 0.0
     ]

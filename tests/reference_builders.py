@@ -23,6 +23,11 @@ def _pack(rows: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _from_zero(law, n: int) -> np.ndarray:
+    """E[J^k] for k = 0..n, the k = 0 entry pinned to 1."""
+    return np.concatenate(([1.0], law.moments(n)))
+
+
 def _check_order(n: int) -> None:
     if n < 1:
         raise InvalidInput(f"order must be >= 1, got {n}")
@@ -59,7 +64,7 @@ def build_shot_noise(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVect
     The shift vector is dense: component k is rate * E[J^k].
     """
     _check_order(n)
-    jm = spec.jumps.moments_from_zero(n)
+    jm = _from_zero(spec.jumps, n)
     rows = []
     theta0 = np.empty(n)
     for k in range(1, n + 1):
@@ -183,8 +188,8 @@ def reference_generic_build(spec, n: int) -> tuple[CoefficientSystem, InitialMom
     need_up = a[0] != 0.0 or a[1] != 0.0
     need_down = a[2] != 0.0 or a[3] != 0.0
     need_collapse = a[9] != 0.0
-    ea = spec.up.moments_from_zero(n) if need_up else None
-    eb = spec.down.moments_from_zero(n) if need_down else None
+    ea = _from_zero(spec.up, n) if need_up else None
+    eb = _from_zero(spec.down, n) if need_down else None
     ec = spec.collapse.moments(n) if need_collapse else None
 
     rows = []

@@ -501,6 +501,32 @@ def test_bench_rejects_non_finite_deltas(capsys):
         assert code == 2 and out == "" and "--deltas" in err and bad in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", *HAWKES, "--order", "3", "--time", "1", "--deltas", "1e-300"],
+        ["simulate", "--process", "hawkes", "--params", "lambda-star=1e200,alpha=0.5,beta=2",
+         "--order", "3", "--time", "1", "--paths", "20", "--seed", "1"],
+        ["simulate", "--process", "hawkes", "--params", "lambda-star=1,alpha=1e200,beta=2",
+         "--order", "3", "--time", "1", "--paths", "20", "--seed", "1"],
+        ["simulate", "--process", "ito", "--params", "mu=1,theta=-1,sigma=1,gamma=2,x0=1",
+         "--order", "3", "--time", "1", "--paths", "20", "--seed", "1", "--sim-step", "1e-300"],
+    ],
+    ids=["euler-step", "hawkes-baseline", "hawkes-jump", "euler-maruyama-step"],
+)
+def test_runs_past_the_step_bound_exit_two_at_once(argv):
+    # each once ran without end; a child process with a timeout keeps a
+    # regression from hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matryoshkan", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith("per path exceed the limit of 1e+09")
+
+
 def test_module_entry_point_matches_main(capsys):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for argv, expected_code in (

@@ -15,7 +15,7 @@ from oracle import (
 
 
 def scalar_system(theta11, theta01):
-    system = mk.CoefficientSystem(mk.MatryoshkanMatrix.initial(theta11), [theta01])
+    system = mk.CoefficientSystem(mk.MatryoshkanMatrix.from_diagonal([theta11]), [theta01])
     return system
 
 

@@ -12,6 +12,7 @@ import pytest
 import matryoshkan as mk
 from matryoshkan.errors import (
     InsufficientMoments,
+    InvalidDimension,
     InvalidInput,
     MomentSequenceWarning,
     Overflow,
@@ -105,31 +106,31 @@ def test_pascal_lower_nests_bit_for_bit(a):
 
 
 def test_jump_moment_values():
-    assert mk.DeterministicJumps(2.0).moment(3) == 8.0
-    assert mk.ExponentialJumps(2.0).moment(3) == pytest.approx(6.0 / 8.0, rel=1e-15)
-    assert mk.LogNormalJumps(0.0, 1.0).moment(3) == pytest.approx(math.exp(4.5), rel=1e-15)
-    assert mk.UniformJumps().moment(3) == pytest.approx(0.25, rel=1e-15)
-    assert mk.ExplicitJumps((0.5, 0.4)).moment(2) == 0.4
+    assert mk.DeterministicJumps(2.0).moments(3)[-1] == 8.0
+    assert mk.ExponentialJumps(2.0).moments(3)[-1] == pytest.approx(6.0 / 8.0, rel=1e-15)
+    assert mk.LogNormalJumps(0.0, 1.0).moments(3)[-1] == pytest.approx(math.exp(4.5), rel=1e-15)
+    assert mk.UniformJumps().moments(3)[-1] == pytest.approx(0.25, rel=1e-15)
+    assert mk.ExplicitJumps((0.5, 0.4)).moments(2)[-1] == 0.4
     # moments(0) is empty, and the range rule must accept an empty vector
     for law in (mk.DeterministicJumps(1.5), mk.ExponentialJumps(0.7), mk.LogNormalJumps(0.2, 0.9),
                 mk.UniformJumps(), mk.ExplicitJumps((0.5, 0.4))):
-        assert law.moment(0) == 1.0, law
+        assert law.moments(0).shape == (0,), law
     # k! / r^k is one integer division of k! q^k by p^k for r = p / q, so a
     # moment past 170! stays finite and a tiny one underflows to zero
-    assert mk.ExponentialJumps(2.0).moment(171) == 4.146186628330626e257
-    assert mk.ExponentialJumps(1e200).moment(2) == 0.0
+    assert mk.ExponentialJumps(2.0).moments(171)[-1] == 4.146186628330626e257
+    assert mk.ExponentialJumps(1e200).moments(2)[-1] == 0.0
     # every finite exponential and uniform moment is correctly rounded
     for rate in (0.7, 1.3, 2.5, 3, 5):
         law = mk.ExponentialJumps(rate)
         for k in range(1, 201):
             exact = Fraction(math.factorial(k)) / Fraction(rate) ** k
             if exact < Fraction(sys.float_info.max):
-                assert law.moment(k) == float(exact), (rate, k)
+                assert law.moments(k)[-1] == float(exact), (rate, k)
     exact = [float(Fraction(1, k + 1)) for k in range(1, 201)]
     assert mk.UniformJumps().moments(200).tolist() == exact
     # the base class states no sequence of its own
     with pytest.raises(NotImplementedError):
-        mk.JumpMoments().moment(2)
+        mk.JumpMoments().moments(2)
 
 
 @pytest.mark.parametrize("location, scale", [(0.2, 0.9), (-0.25, 0.6), (-0.5, 0.2), (0.1, 0.7)])
@@ -162,23 +163,23 @@ def test_lognormal_moments_are_within_an_ulp(location, scale):
     ],
 )
 def test_builtin_moment_sequences_are_log_convex(jumps):
-    m = jumps.moments_from_zero(10)
+    m = np.concatenate(([1.0], jumps.moments(10)))
     for k in range(1, 10):
         assert m[k + 1] * m[k - 1] >= m[k] ** 2 * (1.0 - 1e-12)
 
 
 def test_jump_moments_outside_the_double_range_raise_overflow():
     # 171! and 2! / (1e-200)^2 leave the double range; 170! does not
-    assert mk.ExponentialJumps(1.0).moment(170) == float(math.factorial(170))
+    assert mk.ExponentialJumps(1.0).moments(170)[-1] == float(math.factorial(170))
     with pytest.raises(Overflow, match="order 171"):
-        mk.ExponentialJumps(1.0).moment(171)
+        mk.ExponentialJumps(1.0).moments(171)
     with pytest.raises(Overflow, match="order 2"):
         mk.ExponentialJumps(1e-200).moments(3)
     # under error::RuntimeWarning, numpy's overflow warning would escape
     with pytest.raises(Overflow, match="order 2"):
         mk.DeterministicJumps(1e200).moments(3)
     with pytest.raises(Overflow, match="order 2"):
-        mk.DeterministicJumps(1e200).moment(2)
+        mk.DeterministicJumps(1e200).moments(2)
     assert np.array_equal(mk.DeterministicJumps(1e100).moments(3), np.power(1e100, [1.0, 2.0, 3.0]))
     spec = mk.ShotNoiseSpec(rate=1.0, decay=4.0, jumps=mk.ExponentialJumps(1.0))
     with pytest.raises(Overflow):
@@ -206,7 +207,7 @@ def test_squares_past_the_double_range_are_library_errors():
 def test_explicit_moments_exhaustion():
     jumps = mk.ExplicitJumps((0.5, 0.4))
     with pytest.raises(InsufficientMoments):
-        jumps.moment(3)
+        jumps.moments(3)
     spec = mk.ShotNoiseSpec(rate=1.0, decay=1.0, jumps=jumps)
     with pytest.raises(InsufficientMoments):
         mk.build(spec, 3)
@@ -568,13 +569,17 @@ def test_build_rejects_unsupported_objects():
 
 
 def test_order_below_one_is_rejected():
+    # one order check, core's, serves the builder, the initial vector, the
+    # Pascal matrices and the constructors; its error is an InvalidInput too
+    assert issubclass(InvalidDimension, InvalidInput)
     for make in (
         lambda: mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 0),
         lambda: mk.InitialMomentVector.from_state(1.0, 0),
         lambda: mk.pascal_matryoshkan(0, 1.0),
         lambda: mk.pascal_lower(0, 1.0),
+        lambda: mk.MatryoshkanMatrix.identity(0),
     ):
-        with pytest.raises(InvalidInput, match="order must be >= 1, got 0"):
+        with pytest.raises(InvalidDimension, match=r"^order must be >= 1, got 0$"):
             make()
 
 
