@@ -15,7 +15,6 @@ from .core import (
     solve_lower,
 )
 from .engine import (
-    STATIONARY,
     CoefficientSystem,
     InitialMomentVector,
     MomentVector,

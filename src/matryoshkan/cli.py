@@ -19,6 +19,7 @@ identity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -221,7 +222,7 @@ def _metadata(args, params: dict[str, float], extra: dict) -> dict:
         if value:
             meta[flag[2:].lower()] = value
     # Echo --time as given (so -0 stays -0.0); steady runs have no --time.
-    meta["time"] = getattr(args, "time", engine.STATIONARY)
+    meta["time"] = getattr(args, "time", "stationary")
     meta.update(extra)
     return meta
 
@@ -236,16 +237,16 @@ def _dispatch(args) -> str:
     spec = _make_spec(args, params)
 
     if args.command == "simulate":
-        if args.paths < 1:
-            raise _CLIError(f"--paths must be >= 1, got {args.paths}")
+        if args.paths < 2:
+            raise _CLIError(f"--paths must be >= 2 for a standard error, got {args.paths}")
         cfg = mc.SimConfig(
             paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
         )
         terminals = mc.simulate(spec, cfg)
         estimates = mc.estimate_moments(terminals, args.order)
         payload = [
-            {"order": e.order, "estimate": e.mean, "std_error": e.std_error}
-            for e in estimates
+            {"order": k, "estimate": e.mean, "std_error": e.std_error}
+            for k, e in enumerate(estimates, start=1)
         ]
         extra = {"paths": args.paths, "seed": args.seed, "sim_step": args.sim_step}
     elif args.command == "bench":
@@ -254,17 +255,7 @@ def _dispatch(args) -> str:
             raise _CLIError(f"--trials must be >= 1, got {args.trials}")
         system, init = processes.build(spec, args.order)
         records = euler.bench(system, init, args.time, deltas, args.trials)
-        payload = [
-            {
-                "method": r.method,
-                "delta": r.delta,
-                "run_time_seconds": r.run_time_seconds,
-                "run_time_median_seconds": r.run_time_median_seconds,
-                "abs_error": r.abs_error,
-                "rel_error": r.rel_error,
-            }
-            for r in records
-        ]
+        payload = [dataclasses.asdict(r) for r in records]
         extra = {"deltas": deltas, "trials": args.trials}
     else:
         system, init = processes.build(spec, args.order)

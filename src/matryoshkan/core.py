@@ -21,6 +21,7 @@ functions, so instances may be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,16 @@ _VECTOR_SQUARINGS = 3
 _MAX_STEPS = 1e9
 
 
+def _integer(what: str, value) -> int:
+    """``value`` as a Python int; a numpy integer is one, a float is not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_order(order: int) -> None:
-    if order < 1:
+    if _integer("order", order) < 1:
         raise InvalidDimension(f"order must be >= 1, got {order}")
 
 
@@ -111,32 +120,26 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _packed_size(order: int) -> int:
-    return order * (order + 1) // 2
-
-
 class MatryoshkanMatrix:
     """Lower-triangular matrix held as one read-only dense n-by-n array.
 
-    Entries above the diagonal are exact +0.0, so the order-k leading block
-    is the top-left k-by-k block.  ``packed`` exports the lower triangle row
-    by row: row i (0-based) is ``packed[i*(i+1)//2 : i*(i+1)//2 + i + 1]``,
-    and the first k*(k+1)//2 entries are the order-k leading block.
+    ``MatryoshkanMatrix(array)`` takes a square array with exact zeros above
+    the diagonal and stores them as +0.0, so the order-k leading block is the
+    top-left k-by-k block.  ``packed`` exports the lower triangle row by row:
+    row i (0-based) is ``packed[i*(i+1)//2 : i*(i+1)//2 + i + 1]``.
     """
 
     __slots__ = ("order", "_data")
 
-    def __init__(self, order: int, packed):
-        _check_order(order)
-        data = np.asarray(packed, dtype=np.float64).reshape(-1)
-        if data.shape[0] != _packed_size(order):
-            raise InvalidDimension(
-                f"order {order} needs {_packed_size(order)} packed entries, "
-                f"got {data.shape[0]}"
-            )
-        dense = np.zeros((order, order))
-        dense[np.tril_indices(order)] = data
-        self._take(dense)
+    def __init__(self, array):
+        a = np.asarray(array, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
+        _check_order(a.shape[0])
+        if np.triu(a, 1).any():
+            raise InvalidDimension("entries above the diagonal must be exactly zero")
+        # np.tril writes +0.0 above the diagonal, where a may hold -0.0
+        self._take(np.tril(a))
 
     @classmethod
     def _own(cls, dense: np.ndarray) -> "MatryoshkanMatrix":
@@ -159,26 +162,10 @@ class MatryoshkanMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def identity(cls, order: int) -> "MatryoshkanMatrix":
-        _check_order(order)
-        return cls.from_diagonal(np.ones(order))
-
-    @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
         d = np.asarray(values, dtype=np.float64).reshape(-1)
         _check_order(d.shape[0])
         return cls._own(np.diag(d))
-
-    @classmethod
-    def from_dense(cls, array) -> "MatryoshkanMatrix":
-        a = np.asarray(array, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
-        _check_order(a.shape[0])
-        if np.triu(a, 1).any():
-            raise InvalidDimension("entries above the diagonal must be exactly zero")
-        # np.tril writes +0.0 above the diagonal, where a may hold -0.0
-        return cls._own(np.tril(a))
 
     # -- accessors -------------------------------------------------------
 
@@ -197,12 +184,6 @@ class MatryoshkanMatrix:
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, which are also the eigenvalues (read-only)."""
         return np.diagonal(self._data)
-
-    def sub_row(self, i: int) -> np.ndarray:
-        """Entries of 0-based row i strictly left of the diagonal."""
-        if not 0 <= i < self.order:
-            raise InvalidDimension(f"row {i} out of range for order {self.order}")
-        return self._data[i, :i].copy()
 
     def leading(self, k: int) -> "MatryoshkanMatrix":
         """The order-k leading block, a copy of the top-left k-by-k block."""
@@ -469,7 +450,7 @@ def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
     if k < 0:
         raise InvalidDimension(f"exponent must be >= 0, got {k}")
     if k == 0:
-        return MatryoshkanMatrix.identity(m.order)
+        return MatryoshkanMatrix.from_diagonal(np.ones(m.order))
 
     def powering() -> np.ndarray:
         result, base, e = None, m.dense(), k

@@ -23,7 +23,6 @@ from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overfl
 from .errors import InvalidInput, NonStationary
 
 __all__ = [
-    "STATIONARY",
     "CoefficientSystem",
     "InitialMomentVector",
     "MomentVector",
@@ -34,9 +33,6 @@ __all__ = [
     "transient_vector",
     "validate",
 ]
-
-#: Distinguished time value carried by stationary moment vectors.
-STATIONARY = "stationary"
 
 _LOG_EPS = math.log(np.finfo(np.float64).eps)
 # Grading exponents are clipped to +-_GRADE_EXP; a component no path reaches
@@ -87,9 +83,9 @@ class CoefficientSystem:
 
 @dataclass(frozen=True)
 class InitialMomentVector:
-    """Initial state x0 together with its powers (x0^1, ..., x0^n)."""
+    """Initial moments (E[X_0], ..., E[X_0^n]); ``from_state`` gives the
+    powers of one state x0."""
 
-    x0: float
     powers: np.ndarray
 
     def __post_init__(self):
@@ -101,7 +97,7 @@ class InitialMomentVector:
         x0 = float(x0)
         # powers past the double range stay infinite until a solve reads them
         with np.errstate(over="ignore"):
-            return cls(x0, np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
+            return cls(np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
 
     @property
     def order(self) -> int:
@@ -112,7 +108,6 @@ class InitialMomentVector:
 class MomentVector:
     """Moments E[X^k], k = 1..n, at one time point or at stationarity."""
 
-    time: float | str
     values: np.ndarray
 
     def __post_init__(self):
@@ -186,7 +181,7 @@ def transient_vector(
     t = _check_horizon(t)
     _check_initial(system, init)
     if t == 0.0:
-        return MomentVector(0.0, init.powers)
+        return MomentVector(init.powers)
     n = system.order
     T = system.theta.dense()
     shift, start = system.theta0, init.powers
@@ -209,7 +204,7 @@ def transient_vector(
     # the dense product spreads one overflowed order over all, so name none
     if _overflow_order(values) is not None:
         raise _overflow("transient flow")
-    return MomentVector(t, values)
+    return MomentVector(values)
 
 
 def transient_scalar(
@@ -217,7 +212,7 @@ def transient_scalar(
 ) -> float:
     """The n-th moment at time t, from the leading order-n system alone."""
     _check_moment_order(system, n)
-    head = InitialMomentVector(init.x0, init.powers[:n])
+    head = InitialMomentVector(init.powers[:n])
     return float(transient_vector(system.leading(n), head, t).values[-1])
 
 
@@ -235,7 +230,7 @@ def _require_stable(system: CoefficientSystem) -> None:
 def steady_vector(system: CoefficientSystem) -> MomentVector:
     """Stationary moments solving 0 = T s + c by forward substitution."""
     _require_stable(system)
-    return MomentVector(STATIONARY, _in_range("stationary moment", _stationary(system)))
+    return MomentVector(_in_range("stationary moment", _stationary(system)))
 
 
 def steady_nth(system: CoefficientSystem, n: int) -> float:
@@ -249,41 +244,14 @@ def steady_nth(system: CoefficientSystem, n: int) -> float:
 class ValidationReport:
     """Diagnostics for a coefficient system; never raises."""
 
-    order: int
     zero_diagonals: tuple[int, ...]
     positive_diagonals: tuple[int, ...]
     coincident_pairs: tuple[tuple[int, int], ...]
     predicted_overflow_order: int | None
 
     @property
-    def singular(self) -> bool:
-        return bool(self.zero_diagonals)
-
-    @property
     def stationary(self) -> bool:
         return not self.zero_diagonals and not self.positive_diagonals
-
-    @property
-    def distinct(self) -> bool:
-        return not self.coincident_pairs
-
-    def describe(self) -> str:
-        lines = [f"order: {self.order}"]
-        if self.stationary:
-            lines.append("stationary: yes")
-        elif self.singular:
-            lines.append("stationary: no; singular")
-        else:
-            lines.append("stationary: no; nonnegative diagonal")
-        if self.zero_diagonals:
-            lines.append(f"zero diagonals: {list(self.zero_diagonals)}")
-        if self.positive_diagonals:
-            lines.append(f"positive diagonals: {list(self.positive_diagonals)}")
-        if self.coincident_pairs:
-            lines.append(f"coincident diagonals: {[list(p) for p in self.coincident_pairs]}")
-        if self.predicted_overflow_order is not None:
-            lines.append(f"predicted overflow order: {self.predicted_overflow_order}")
-        return "\n".join(lines)
 
 
 def validate(system: CoefficientSystem) -> ValidationReport:
@@ -294,7 +262,6 @@ def validate(system: CoefficientSystem) -> ValidationReport:
     positive = tuple((np.flatnonzero(d > 0.0) + 1).tolist())
     stable = not zero and not positive
     return ValidationReport(
-        order=system.order,
         zero_diagonals=zero,
         positive_diagonals=positive,
         coincident_pairs=system.theta.coincident_pairs(),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_steps, _in_range, _overflow
+from .core import _check_steps, _in_range, _integer, _overflow
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -43,7 +43,9 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, horizon, seed, and the Euler-Maruyama step size."""
+    """Path count, horizon, seed, and the Euler-Maruyama step size.  The path
+    count and the seed are held as Python ints, so a numpy integer seed
+    draws what the same int draws."""
 
     paths: int
     horizon: float
@@ -51,6 +53,8 @@ class SimConfig:
     sim_step: float = 1e-3
 
     def __post_init__(self):
+        object.__setattr__(self, "paths", _integer("paths", self.paths))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.paths < 1:
             raise InvalidInput(f"paths must be >= 1, got {self.paths}")
         if not 0 <= self.horizon < math.inf:
@@ -63,7 +67,6 @@ class SimConfig:
 class MomentEstimate:
     """Sample mean of X^k across paths with its standard error."""
 
-    order: int
     mean: float
     std_error: float
 
@@ -89,7 +92,8 @@ def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
 
 
 def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
-    """Sample means of powers with standard errors, in fixed path order."""
+    """Sample means of X^k, k = 1..max_order, with standard errors, in fixed
+    path order."""
     values = np.asarray(terminals, dtype=np.float64).reshape(-1)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
@@ -111,7 +115,7 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
                 EstimatePrecisionWarning,
                 stacklevel=2,
             )
-        out.append(MomentEstimate(order=k, mean=mean, std_error=se))
+        out.append(MomentEstimate(mean=mean, std_error=se))
     return out
 
 

@@ -52,10 +52,11 @@ def random_matryoshkan(
     slots = np.arange(order, dtype=np.float64) + rng.uniform(0.0, 0.4, order)
     diag = diag_low + slots * (span / order)
     rng.shuffle(diag)
-    packed = []
+    dense = np.zeros((order, order))
     for i in range(order):
-        packed.append(np.concatenate([rng.uniform(-entry_scale, entry_scale, i), [diag[i]]]))
-    return mk.MatryoshkanMatrix(order, np.concatenate(packed))
+        dense[i, :i] = rng.uniform(-entry_scale, entry_scale, i)
+        dense[i, i] = diag[i]
+    return mk.MatryoshkanMatrix(dense)
 
 
 def taylor_exp(dense: np.ndarray, t: float, terms: int = 60) -> np.ndarray:

@@ -19,8 +19,12 @@ from matryoshkan.errors import InvalidInput, UnsupportedGamma
 from matryoshkan.processes import binomial_row
 
 
-def _pack(rows: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(rows)
+def _lower(rows: list[np.ndarray]) -> MatryoshkanMatrix:
+    """The matrix whose row i holds rows[i] up to its diagonal."""
+    dense = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        dense[i, : i + 1] = row
+    return MatryoshkanMatrix(dense)
 
 
 def _from_zero(law, n: int) -> np.ndarray:
@@ -53,7 +57,7 @@ def build_hawkes(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
         rows.append(row)
     theta0 = np.zeros(n)
     theta0[0] = blam
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
@@ -75,7 +79,7 @@ def build_shot_noise(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVect
         row[: k - 1] = coef[1:]
         row[k - 1] = -spec.decay * float(k)
         rows.append(row)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
@@ -114,7 +118,7 @@ def build_ito(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
                 diag = diag + half * kk1
         row[k - 1] = diag
         rows.append(row)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
@@ -136,7 +140,7 @@ def build_growth_collapse(spec, n: int) -> tuple[CoefficientSystem, InitialMomen
         rows.append(row)
     theta0 = np.zeros(n)
     theta0[0] = spec.growth
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
@@ -161,7 +165,7 @@ def build_ephemeral(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVecto
         row[k - 1] = spec.jump * kf - spec.expiry * kf
         rows.append(row)
     theta0 = np.full(n, spec.baseline)
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(float(spec.x0), n)
 
 
@@ -228,7 +232,7 @@ def reference_generic_build(spec, n: int) -> tuple[CoefficientSystem, InitialMom
             coef[k] += a[9] * (ec[k - 1] - 1.0)
         theta0[k - 1] = coef[0]
         rows.append(coef[1:])
-    system = CoefficientSystem(MatryoshkanMatrix(n, _pack(rows)), theta0)
+    system = CoefficientSystem(_lower(rows), theta0)
     return system, InitialMomentVector.from_state(spec.x0, n)
 
 
@@ -242,7 +246,7 @@ def reference_inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     for k in range(1, n):
         W[k, :k] = -(L[k, :k] @ W[:k, :k]) / d[k]
         W[k, k] = 1.0 / d[k]
-    return MatryoshkanMatrix(n, W[np.tril_indices(n)])
+    return MatryoshkanMatrix(W)
 
 
 def reference_eigendecompose(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
@@ -255,7 +259,7 @@ def reference_eigendecompose(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     for i in range(1, n):
         U[i, :i] = (L[i, :i] @ U[:i, :i]) / (d[:i] - d[i])
         U[i, i] = 1.0
-    return MatryoshkanMatrix(n, U[np.tril_indices(n)])
+    return MatryoshkanMatrix(U)
 
 
 def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:

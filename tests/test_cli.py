@@ -274,6 +274,9 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "--trials" in err
     code, _, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "0", "--seed", "1")
     assert code == 2 and "--paths" in err
+    # one path passes the simulator, but a standard error needs two
+    code, out, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "1", "--seed", "1")
+    assert code == 2 and out == "" and err == "error: --paths must be >= 2 for a standard error, got 1\n"
     code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", "lambda-star,alpha=1,beta=2", "--order", "1", "--time", "1")
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")

@@ -21,7 +21,11 @@ from reference_builders import reference_eigendecompose, reference_inverse
 
 
 def M(rows):
-    return mk.MatryoshkanMatrix.from_dense(rows)
+    return mk.MatryoshkanMatrix(rows)
+
+
+def eye(order):
+    return mk.MatryoshkanMatrix.from_diagonal(np.ones(order))
 
 
 # -- construction and accessors ----------------------------------------------
@@ -54,41 +58,31 @@ def test_extend_rejects_wrong_row_length():
         mk.extend(None, [1.0], 2.0)
     # four entries, as many as an order-4 base takes, but not one row
     with pytest.raises(InvalidDimension):
-        mk.extend(mk.MatryoshkanMatrix.identity(4), [[1.0, 2.0], [3.0, 4.0]], 5.0)
+        mk.extend(eye(4), [[1.0, 2.0], [3.0, 4.0]], 5.0)
 
 
-def test_from_dense_rejects_upper_triangle():
-    with pytest.raises(InvalidDimension):
+def test_constructor_rejects_upper_triangle_and_non_square():
+    with pytest.raises(InvalidDimension, match="entries above the diagonal must be exactly zero"):
         M([[1.0, 0.5], [0.0, 1.0]])
+    # a packed triangle is not a matrix: the one constructor takes rows
     for shape in ((1, 2), (3,), (2, 2, 2)):
         with pytest.raises(InvalidDimension, match="expected a square matrix"):
             M(np.zeros(shape))
 
 
 def test_constructors_reject_non_positive_orders():
-    for order in (0, -1):
-        with pytest.raises(InvalidDimension):
-            mk.MatryoshkanMatrix.identity(order)
-    with pytest.raises(InvalidDimension):
-        mk.MatryoshkanMatrix.from_diagonal([])
-    # the packed constructor takes exactly one triangle of its order
-    for packed in ([1.0, 2.0], [1.0] * 4):
-        with pytest.raises(InvalidDimension, match="order 2 needs 3 packed entries"):
-            mk.MatryoshkanMatrix(2, packed)
+    for make in (lambda: M(np.zeros((0, 0))), lambda: mk.MatryoshkanMatrix.from_diagonal([])):
+        with pytest.raises(InvalidDimension, match=r"^order must be >= 1, got 0$"):
+            make()
 
 
 def test_accessors(rng):
     m = random_matryoshkan(rng, 6)
     d = m.dense()
     assert np.array_equal(m.diagonal(), np.diag(d))
-    for i in range(6):
-        assert np.array_equal(m.sub_row(i), d[i, :i])
     assert np.array_equal(m.leading(4).dense(), d[:4, :4])
     assert m.packed[: 4 * 5 // 2] is not None
     assert np.array_equal(m.leading(4).packed, m.packed[:10])
-    for i in (-1, 6):
-        with pytest.raises(InvalidDimension, match=f"row {i} out of range for order 6"):
-            m.sub_row(i)
     for k in (0, 7):
         with pytest.raises(InvalidDimension, match=f"leading block order {k} out of range"):
             m.leading(k)
@@ -98,15 +92,13 @@ def test_accessors(rng):
 
 
 def test_add_identity():
-    eye = mk.MatryoshkanMatrix.identity(2)
     zero = mk.MatryoshkanMatrix.from_diagonal(np.zeros(2))
-    assert np.array_equal(mk.add(eye, zero).dense(), np.eye(2))
+    assert np.array_equal(mk.add(eye(2), zero).dense(), np.eye(2))
 
 
 def test_multiply_identity(rng):
     m = random_matryoshkan(rng, 7)
-    eye = mk.MatryoshkanMatrix.identity(7)
-    assert np.array_equal(mk.multiply(m, eye).packed, m.packed)
+    assert np.array_equal(mk.multiply(m, eye(7)).packed, m.packed)
 
 
 def test_multiply_hand_product():
@@ -117,9 +109,9 @@ def test_multiply_hand_product():
 
 def test_dimension_mismatch():
     with pytest.raises(InvalidDimension):
-        mk.add(mk.MatryoshkanMatrix.identity(2), mk.MatryoshkanMatrix.identity(3))
+        mk.add(eye(2), eye(3))
     with pytest.raises(InvalidDimension):
-        mk.multiply(mk.MatryoshkanMatrix.identity(2), mk.MatryoshkanMatrix.identity(3))
+        mk.multiply(eye(2), eye(3))
 
 
 # -- inverse ------------------------------------------------------------------
@@ -473,10 +465,10 @@ def test_eigendecompose_two_by_two_residual():
 def test_eigendecompose_order_15_residual(rng):
     diag = -np.arange(1.0, 16.0)
     rng.shuffle(diag)
-    packed = []
+    dense = np.diag(diag)
     for i in range(15):
-        packed.append(np.concatenate([rng.uniform(-1, 1, i), [diag[i]]]))
-    m = mk.MatryoshkanMatrix(15, np.concatenate(packed))
+        dense[i, :i] = rng.uniform(-1, 1, i)
+    m = M(dense)
     pair = mk.eigendecompose(m)
     residual = m.dense() @ pair.U.dense() - pair.U.dense() @ np.diag(pair.D)
     assert np.abs(residual).max() <= 1e-11 * np.abs(m.dense()).max()
@@ -546,7 +538,7 @@ def test_nesting_is_exact_for_all_operations(rng):
 
 def test_power_matches_repeated_multiplication_through_8(rng):
     m = random_matryoshkan(rng, 10, diag_low=-10.0, diag_high=-1.0)
-    acc = mk.MatryoshkanMatrix.identity(10)
+    acc = eye(10)
     for k in range(9):
         ref = acc.dense()
         direct = mk.power(m, k).dense()
@@ -574,7 +566,7 @@ def test_solve_lower_zero_pivot():
 def test_solve_lower_rejects_wrong_shaped_rhs():
     # four entries, as many as the order, but not one vector
     with pytest.raises(InvalidDimension):
-        mk.solve_lower(mk.MatryoshkanMatrix.identity(4), [[1.0, 2.0], [3.0, 4.0]])
+        mk.solve_lower(eye(4), [[1.0, 2.0], [3.0, 4.0]])
 
 
 # -- the shared trailing-row recursion against its two former loops ------------
@@ -590,20 +582,21 @@ def _wide_range_matryoshkan(rng, order):
     packed[idx * (idx + 1) // 2 - 1] = np.exp(rng.uniform(-9.0, 9.0, order)) * rng.choice(
         [-1.0, 1.0], order
     )
-    return mk.MatryoshkanMatrix(order, packed)
+    dense = np.zeros((order, order))
+    dense[np.tril_indices(order)] = packed
+    return M(dense)
 
 
 def test_trailing_rows_match_reference_loops_bytewise():
     # the identity pins the signs of the zeros below the diagonal
-    assert mk.inverse(mk.MatryoshkanMatrix.identity(3)).packed.tobytes() == (
+    assert mk.inverse(eye(3)).packed.tobytes() == (
         np.array([1.0, -0.0, 1.0, -0.0, -0.0, 1.0]).tobytes()
     )
     rng = np.random.default_rng(13)
     with np.errstate(over="ignore", invalid="ignore"):
         for order in range(1, 101):
             m = _wide_range_matryoshkan(rng, order)
-            identity = mk.MatryoshkanMatrix.identity(order)
-            for x in (m, identity):
+            for x in (m, eye(order)):
                 assert mk.inverse(x).packed.tobytes() == reference_inverse(x).packed.tobytes(), order
             assert (
                 mk.eigendecompose(m).U.packed.tobytes()
@@ -627,7 +620,8 @@ def test_values_are_immutable_and_shareable(rng):
 
 def test_every_matrix_is_read_only_dense_with_exact_zeros_above(rng):
     # the private constructor takes a computed array as it is, so every path
-    # that reaches it must leave +0.0, not -0.0, above the diagonal
+    # that reaches it must leave +0.0, not -0.0, above the diagonal; the public
+    # one accepts -0.0 there and stores +0.0
     m = random_matryoshkan(rng, 7)
     signed = np.tril(rng.standard_normal((5, 5)))
     signed[np.triu_indices(5, 1)] = -0.0
@@ -638,16 +632,14 @@ def test_every_matrix_is_read_only_dense_with_exact_zeros_above(rng):
         collapse=mk.UniformJumps(),
     )
     matrices = {
-        "packed": mk.MatryoshkanMatrix(3, [1.0, -2.0, -0.0, 0.0, -0.0, 4.0]),
+        "constructor": M(signed),
         "order 1": mk.MatryoshkanMatrix.from_diagonal([-0.5]),
-        "identity": mk.MatryoshkanMatrix.identity(4),
         "zeros": mk.MatryoshkanMatrix.from_diagonal(np.zeros(3)),
         "from_diagonal": mk.MatryoshkanMatrix.from_diagonal([-1.0, -0.0, 2.0]),
-        "from_dense": mk.MatryoshkanMatrix.from_dense(signed),
         "leading": m.leading(4),
         "extend": mk.extend(m, rng.standard_normal(7), -3.0),
         "extend base": mk.extend(None, [], -0.0),
-        "add": mk.add(m, mk.MatryoshkanMatrix.from_dense(np.tril(-m.dense()))),
+        "add": mk.add(m, M(np.tril(-m.dense()))),
         "multiply": mk.multiply(m, m),
         "inverse": mk.inverse(m),
         "power 0": mk.power(m, 0),
@@ -691,13 +683,12 @@ def small_matryoshkan(draw):
             max_size=order * (order - 1) // 2,
         )
     )
-    packed = []
+    dense = np.diag(diag)
     pos = 0
     for i in range(order):
-        packed.extend(entries[pos : pos + i])
-        packed.append(diag[i])
+        dense[i, :i] = entries[pos : pos + i]
         pos += i
-    return mk.MatryoshkanMatrix(order, np.array(packed))
+    return M(dense)
 
 
 @settings(max_examples=40, deadline=None)

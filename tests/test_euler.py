@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
+from matryoshkan import euler
 from matryoshkan.errors import InvalidInput, Overflow
 
 from conftest import FIXTURES, build_fixture
@@ -23,6 +24,10 @@ def test_config_step_accounting():
     assert cfg.steps == 3
     assert cfg.remainder == pytest.approx(0.1, abs=1e-12)
     assert abs(cfg.remainder) <= cfg.step / 2 + 1e-12
+    # ds/dt = 1 from 0: the values sit at steps * step = 0.9, not at 1.0
+    system = mk.CoefficientSystem(mk.MatryoshkanMatrix.from_diagonal([0.0]), [1.0])
+    out = mk.euler_solve(system, mk.InitialMomentVector.from_state(0.0, 1), cfg)
+    assert out.values[0] == pytest.approx(cfg.steps * cfg.step, rel=1e-15)
     assert mk.EulerConfig(step=1e-3, horizon=5.0).steps == 5000
     with pytest.raises(InvalidInput):
         mk.EulerConfig(step=0.0, horizon=1.0)
@@ -95,20 +100,20 @@ def test_stable_run_past_1e300_returns_finite_values():
 
 
 def test_error_metrics_examples():
-    a = mk.MomentVector(1.0, [2.1])
-    b = mk.MomentVector(1.0, [2.0])
+    a = mk.MomentVector([2.1])
+    b = mk.MomentVector([2.0])
     abs_err, rel_err = mk.error_metrics(a, b)
     assert abs_err[0] == pytest.approx(0.1, rel=1e-12)
     assert rel_err[0] == pytest.approx(0.05, rel=1e-12)
     same = mk.error_metrics(b, b)
     assert same[0][0] == 0.0 and same[1][0] == 0.0
     with pytest.raises(InvalidInput, match="order mismatch: 1 vs 2"):
-        mk.error_metrics(a, mk.MomentVector(1.0, [2.0, 4.0]))
+        mk.error_metrics(a, mk.MomentVector([2.0, 4.0]))
 
 
 def test_error_metrics_zero_reference():
-    a = mk.MomentVector(1.0, [1.0, 0.5])
-    b = mk.MomentVector(1.0, [2.0, 0.0])
+    a = mk.MomentVector([1.0, 0.5])
+    b = mk.MomentVector([2.0, 0.0])
     abs_err, rel_err = mk.error_metrics(a, b)
     assert abs_err[1] == 0.5
     assert np.isnan(rel_err[1])
@@ -143,3 +148,14 @@ def test_bench_validates_arguments():
     _, system, init, _ = build_fixture("hawkes", 2)
     with pytest.raises(InvalidInput):
         mk.bench(system, init, 1.0, deltas=[1e-2], trials=0)
+
+
+def test_bench_rejects_a_step_before_timing_anything(monkeypatch):
+    # a step size past the step bound is rejected before the first of the
+    # trials, not after the closed form has been timed trials times
+    _, system, init, _ = build_fixture("hawkes", 3)
+    calls = []
+    monkeypatch.setattr(euler, "transient_vector", lambda *args: calls.append(args))
+    with pytest.raises(InvalidInput, match="per path exceed the limit"):
+        mk.bench(system, init, 1.0, deltas=[1e-2, 1e-300], trials=50)
+    assert calls == []

@@ -54,8 +54,8 @@ def test_exact_simulators_match_closed_form(name):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimatePrecisionWarning)
         estimates = mk.estimate_moments(terminals, 3)
-    for est, truth in zip(estimates, closed):
-        assert within_se(est, truth), (name, est.order, est.mean, truth, est.std_error)
+    for k, (est, truth) in enumerate(zip(estimates, closed), start=1):
+        assert within_se(est, truth), (name, k, est.mean, truth, est.std_error)
 
 
 def test_growth_collapse_long_run_mean():
@@ -110,8 +110,8 @@ def test_exact_diffusion_laws_match_closed_form(spec):
     system, init = mk.build(spec, 2)
     closed = mk.transient_vector(system, init, horizon).values
     terminals = mk.simulate(spec, mk.SimConfig(paths=30000, horizon=horizon, seed=17))
-    for est, truth in zip(mk.estimate_moments(terminals, 2), closed):
-        assert within_se(est, truth), (est.order, est.mean, truth, est.std_error)
+    for k, (est, truth) in enumerate(zip(mk.estimate_moments(terminals, 2), closed), start=1):
+        assert within_se(est, truth), (k, est.mean, truth, est.std_error)
 
 
 def test_geometric_diffusion_stays_on_euler_steps():
@@ -245,6 +245,21 @@ def test_sim_config_validation():
             mk.SimConfig(paths=1, horizon=bad, seed=0)
         with pytest.raises(InvalidInput):
             mk.SimConfig(paths=1, horizon=1.0, seed=0, sim_step=bad)
+
+
+def test_integer_counts_take_numpy_integers_and_reject_the_rest():
+    # a numpy integer seed draws what the same int draws; np.int64 once
+    # overflowed the substream key
+    spec = mk.HawkesSpec(1.0, 1.0, 2.0)
+    for seed in (2, -7, 2**63):
+        ints = mk.simulate(spec, mk.SimConfig(paths=3, horizon=1.0, seed=seed))
+        wrapped = np.int64(seed) if seed < 2**63 else np.uint64(seed)
+        cfg = mk.SimConfig(paths=np.int32(3), horizon=1.0, seed=wrapped)
+        assert type(cfg.paths) is int and type(cfg.seed) is int
+        assert mk.simulate(spec, cfg).tobytes() == ints.tobytes()
+    for field, value in (("paths", 2.5), ("paths", 3.0), ("seed", 1.5), ("seed", "1")):
+        with pytest.raises(InvalidInput, match=f"^{field} must be an integer, got"):
+            mk.SimConfig(**{"paths": 3, "seed": 1, field: value}, horizon=1.0)
 
 
 def test_generic_matches_ephemeral_simulator():

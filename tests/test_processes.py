@@ -46,9 +46,8 @@ def test_pascal_matryoshkan_zero_annihilates():
 def test_pascal_matryoshkan_bottom_row_sum():
     # binomial-sum oracle: the bottom row of the unit matrix sums to 2^n - 1
     for n in (1, 3, 8, 16):
-        bottom = mk.pascal_matryoshkan(n, 1.0).sub_row(n - 1)
-        diag = mk.pascal_matryoshkan(n, 1.0).diagonal()[-1]
-        assert bottom.sum() + diag == 2.0**n - 1.0
+        bottom = mk.pascal_matryoshkan(n, 1.0).dense()[n - 1]
+        assert bottom.sum() == 2.0**n - 1.0
 
 
 def test_pascal_lower_unit_rows():
@@ -64,12 +63,12 @@ def test_pascal_lower_is_ladder_exponential():
     ladder = np.zeros((k, k))
     for i in range(1, k):
         ladder[i, i - 1] = float(i) * a
-    term = mk.MatryoshkanMatrix.identity(k)
-    acc = mk.MatryoshkanMatrix.identity(k)
-    ladder_m = mk.MatryoshkanMatrix.from_dense(ladder)
+    term = mk.MatryoshkanMatrix.from_diagonal(np.ones(k))
+    acc = term
+    ladder_m = mk.MatryoshkanMatrix(ladder)
     for j in range(1, k):
         term = mk.multiply(term, ladder_m)
-        scaled = mk.MatryoshkanMatrix(k, term.packed / math.factorial(j))
+        scaled = mk.MatryoshkanMatrix(term.dense() / math.factorial(j))
         acc = mk.add(acc, scaled)
     ref = mk.pascal_lower(k, a).dense()
     assert np.abs(acc.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -362,13 +361,13 @@ def test_ephemeral_matrix_composition_matches_row_formula():
     ladder = np.zeros((n, n))
     for i in range(1, n):
         ladder[i, i - 1] = 1.0
-    shifted = mk.multiply(mk.pascal_matryoshkan(n, 1.0), mk.MatryoshkanMatrix.from_dense(ladder))
+    shifted = mk.multiply(mk.pascal_matryoshkan(n, 1.0), mk.MatryoshkanMatrix(ladder))
     composed = mk.add(
         mk.add(
-            mk.MatryoshkanMatrix(n, spec.baseline * shifted.packed),
-            mk.MatryoshkanMatrix(n, spec.jump * mk.pascal_matryoshkan(n, 1.0).packed),
+            mk.MatryoshkanMatrix(spec.baseline * shifted.dense()),
+            mk.MatryoshkanMatrix(spec.jump * mk.pascal_matryoshkan(n, 1.0).dense()),
         ),
-        mk.MatryoshkanMatrix(n, spec.expiry * mk.pascal_matryoshkan(n, -1.0).packed),
+        mk.MatryoshkanMatrix(spec.expiry * mk.pascal_matryoshkan(n, -1.0).dense()),
     )
     assert np.array_equal(built.theta.packed, composed.packed)
 
@@ -577,10 +576,26 @@ def test_order_below_one_is_rejected():
         lambda: mk.InitialMomentVector.from_state(1.0, 0),
         lambda: mk.pascal_matryoshkan(0, 1.0),
         lambda: mk.pascal_lower(0, 1.0),
-        lambda: mk.MatryoshkanMatrix.identity(0),
+        lambda: mk.MatryoshkanMatrix(np.zeros((0, 0))),
     ):
         with pytest.raises(InvalidDimension, match=r"^order must be >= 1, got 0$"):
             make()
+
+
+def test_order_takes_numpy_integers_and_rejects_the_rest():
+    # an order is an integer count: a numpy integer builds what the same int
+    # builds, and a float, even a whole one, is an InvalidInput, not a raw
+    # TypeError from numpy
+    for spec, _ in FIXTURES.values():
+        assert systems_equal(mk.build(spec, np.int64(7)), mk.build(spec, 7))
+    for order in (2.5, 3.0, "3"):
+        for make in (
+            lambda: mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), order),
+            lambda: mk.InitialMomentVector.from_state(1.0, order),
+            lambda: mk.pascal_lower(order, 1.0),
+        ):
+            with pytest.raises(InvalidInput, match="^order must be an integer, got"):
+                make()
 
 
 def test_generic_requires_needed_moments():
