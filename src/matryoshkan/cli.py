@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import warnings
 
 from . import __version__, engine, euler, mc, processes
+from .core import _integer, _real
 from .errors import InvalidInput, MatryoshkanError, Overflow
 
 # --process name -> (parameter record, required --params key -> record field,
@@ -139,11 +139,10 @@ def _parse_params(text: str) -> dict[str, float]:
         if key in out:
             raise _CLIError(f"--params: key '{key}' is given more than once")
         try:
-            out[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise _CLIError(f"--params: value for '{key}' is not a number: '{raw}'")
-        if not math.isfinite(out[key]):
-            raise _CLIError(f"--params: value for '{key}' must be finite, got '{raw}'")
+        out[key] = _real(key, value)
     return out
 
 
@@ -231,14 +230,12 @@ def _metadata(args, params: dict[str, float], extra: dict) -> dict:
 
 
 def _dispatch(args) -> str:
-    if args.order < 1:
-        raise _CLIError(f"--order must be >= 1, got {args.order}")
+    _integer("--order", args.order, 1)
     params = _parse_params(args.params)
     spec = _make_spec(args, params)
 
     if args.command == "simulate":
-        if args.paths < 2:
-            raise _CLIError(f"--paths must be >= 2 for a standard error, got {args.paths}")
+        _integer("--paths", args.paths, 2)
         cfg = mc.SimConfig(
             paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
         )
@@ -251,8 +248,7 @@ def _dispatch(args) -> str:
         extra = {"paths": args.paths, "seed": args.seed, "sim_step": args.sim_step}
     elif args.command == "bench":
         deltas = _parse_deltas(args.deltas)
-        if args.trials < 1:
-            raise _CLIError(f"--trials must be >= 1, got {args.trials}")
+        _integer("--trials", args.trials, 1)
         system, init = processes.build(spec, args.order)
         records = euler.bench(system, init, args.time, deltas, args.trials)
         payload = [dataclasses.asdict(r) for r in records]
@@ -284,10 +280,7 @@ def _parse_deltas(text: str) -> list[float]:
         raise _CLIError(f"--deltas: not a list of numbers: '{text}'")
     if not deltas:
         raise _CLIError(f"--deltas: step sizes must be > 0: '{text}'")
-    for d in deltas:
-        if not 0 < d < math.inf:
-            raise _CLIError(f"--deltas: step sizes must be finite and > 0, got {d!r}")
-    return deltas
+    return [_real("--deltas", d, 0, above=True) for d in deltas]
 
 
 # -- serialization ---------------------------------------------------------------

@@ -95,17 +95,54 @@ _VECTOR_SQUARINGS = 3
 _MAX_STEPS = 1e9
 
 
-def _integer(what: str, value) -> int:
-    """``value`` as a Python int; a numpy integer is one, a float is not."""
+def _bounded(what: str, x, low, high, above: bool, error):
+    """x, or ``error`` naming the bound it breaks: at least ``low`` (above it
+    when ``above``) and at most ``high``, where each is given."""
+    if low is not None and (x <= low if above else x < low):
+        raise error(f"{what} must be {'>' if above else '>='} {low}, got {x!r}")
+    if high is not None and x > high:
+        raise error(f"{what} must be <= {high}, got {x!r}")
+    return x
+
+
+def _integer(what: str, value, low=None, high=None, error=InvalidInput) -> int:
+    """``value`` as a Python int in bounds; a numpy integer is one, a float
+    is not.  Every rejection reads ``<what> must be <rule>, got <value>``."""
     try:
-        return operator.index(value)
+        k = operator.index(value)
     except TypeError:
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+    return _bounded(what, k, low, high, False, error)
 
 
-def _check_order(order: int) -> None:
-    if _integer("order", order) < 1:
-        raise InvalidDimension(f"order must be >= 1, got {order}")
+def _real(what: str, value, low=None, high=None, above=False, error=InvalidInput) -> float:
+    """``value`` as a finite float in bounds, worded as by ``_integer``; a
+    string is refused, and NaN, which fails no bound check, is refused first."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
+        x = float(value)
+    except OverflowError:  # an int past the double range
+        x = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} must be a real number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise InvalidInput(f"{what} must be finite, got {x!r}")
+    return _bounded(what, x, low, high, above, error)
+
+
+def _reals(what: str, values) -> tuple[float, ...]:
+    """Each entry of the sequence ``values`` through ``_real``, named
+    ``<what>[i]``; a string is a sequence whose entries are refused."""
+    try:
+        entries = enumerate(values)
+    except TypeError:
+        raise InvalidInput(f"{what} must be a sequence of reals, got {values!r}") from None
+    return tuple(_real(f"{what}[{i}]", v) for i, v in entries)
+
+
+def _check_order(order) -> int:
+    return _integer("order", order, 1, error=InvalidDimension)
 
 
 def _check_steps(what: str, count: float) -> None:
@@ -187,8 +224,7 @@ class MatryoshkanMatrix:
 
     def leading(self, k: int) -> "MatryoshkanMatrix":
         """The order-k leading block, a copy of the top-left k-by-k block."""
-        if not 1 <= k <= self.order:
-            raise InvalidDimension(f"leading block order {k} out of range")
+        k = _integer("k", k, 1, self.order, InvalidDimension)
         return MatryoshkanMatrix._own(self._data[:k, :k].copy())
 
     def coincident_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -447,8 +483,7 @@ def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
     Raises:
         InvalidDimension: k is negative.
     """
-    if k < 0:
-        raise InvalidDimension(f"exponent must be >= 0, got {k}")
+    k = _integer("k", k, 0, error=InvalidDimension)
     if k == 0:
         return MatryoshkanMatrix.from_diagonal(np.ones(m.order))
 
@@ -477,9 +512,7 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     Raises:
         InvalidInput: t is not finite.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidInput(f"t must be finite, got {t}")
+    t = _real("t", t)
     L = m.dense()
 
     def rows() -> np.ndarray:

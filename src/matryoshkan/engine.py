@@ -40,11 +40,6 @@ _LOG_EPS = math.log(np.finfo(np.float64).eps)
 _GRADE_EXP = 1000
 
 
-def _check_moment_order(system: CoefficientSystem, n: int) -> None:
-    if not 1 <= n <= system.order:
-        raise InvalidInput(f"moment order {n} out of range 1..{system.order}")
-
-
 def _check_initial(system: CoefficientSystem, init: InitialMomentVector) -> None:
     if init.order != system.order:
         raise InvalidInput(
@@ -94,7 +89,7 @@ class InitialMomentVector:
     @classmethod
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":
         _check_order(order)
-        x0 = float(x0)
+        x0 = core._real("x0", x0)
         # powers past the double range stay infinite until a solve reads them
         with np.errstate(over="ignore"):
             return cls(np.power(x0, np.arange(1, order + 1, dtype=np.float64)))
@@ -116,13 +111,6 @@ class MomentVector:
     @property
     def order(self) -> int:
         return self.values.shape[0]
-
-
-def _check_horizon(t: float) -> float:
-    t = float(t)
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidInput(f"time must be finite and >= 0, got {t}")
-    return t
 
 
 def _stationary(system: CoefficientSystem) -> np.ndarray:
@@ -178,7 +166,7 @@ def transient_vector(
     stationary vector s_inf, so the flow carries only the small remainder
     s(0) - s_inf and near-stationary moments stay a smooth function of t.
     """
-    t = _check_horizon(t)
+    t = core._real("t", t, 0)
     _check_initial(system, init)
     if t == 0.0:
         return MomentVector(init.powers)
@@ -211,7 +199,7 @@ def transient_scalar(
     system: CoefficientSystem, init: InitialMomentVector, t: float, n: int
 ) -> float:
     """The n-th moment at time t, from the leading order-n system alone."""
-    _check_moment_order(system, n)
+    n = core._integer("n", n, 1, system.order)
     head = InitialMomentVector(init.powers[:n])
     return float(transient_vector(system.leading(n), head, t).values[-1])
 
@@ -236,7 +224,7 @@ def steady_vector(system: CoefficientSystem) -> MomentVector:
 def steady_nth(system: CoefficientSystem, n: int) -> float:
     """The n-th stationary moment, from the leading order-n system alone, so
     only the first n diagonal entries need to be negative."""
-    _check_moment_order(system, n)
+    n = core._integer("n", n, 1, system.order)
     return steady_vector(system.leading(n)).values[-1]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_steps, _overflow, _overflow_order
+from .core import _check_steps, _integer, _overflow, _overflow_order, _real
 from .engine import (CoefficientSystem, InitialMomentVector, MomentVector, _check_initial,
                      transient_vector)
 from .errors import InvalidInput
@@ -33,11 +33,8 @@ class EulerConfig:
     horizon: float
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise InvalidInput(f"step must be finite and > 0, got {self.step}")
-        if not 0 <= self.horizon < math.inf:
-            raise InvalidInput(f"horizon must be finite and >= 0, got {self.horizon}")
-        _check_steps("Euler steps", self.horizon / self.step)
+        step = _real("step", self.step, 0, above=True)
+        _check_steps("Euler steps", _real("horizon", self.horizon, 0) / step)
 
     @property
     def steps(self) -> int:
@@ -64,7 +61,7 @@ def euler_solve(
     steps = cfg.steps
     s = init.powers.copy()
     n = system.order
-    h = cfg.step
+    h = float(cfg.step)
     if n == 1:
         # scalar fast path; the generic loop below spends its time on
         # numpy call overhead at this size
@@ -139,9 +136,8 @@ def bench(
     Trials run sequentially so the wall-clock readings stay honest, and every
     step size is checked before the first of them.
     """
-    if trials < 1:
-        raise InvalidInput(f"trials must be >= 1, got {trials}")
-    configs = [EulerConfig(step=float(delta), horizon=t) for delta in deltas]
+    trials = _integer("trials", trials, 1)
+    configs = [EulerConfig(step=delta, horizon=t) for delta in deltas]
 
     closed, mean, median = _timed(trials, transient_vector, system, init, t)
     records = [BenchRecord("closed-form", None, mean, median, 0.0, 0.0)]
@@ -149,7 +145,7 @@ def bench(
         stepped, mean, median = _timed(trials, euler_solve, system, init, cfg)
         abs_err, rel_err = error_metrics(stepped, closed)
         rel = None if np.isnan(rel_err[-1]) else float(rel_err[-1])
-        records.append(BenchRecord("euler", cfg.step, mean, median, float(abs_err[-1]), rel))
+        records.append(BenchRecord("euler", float(cfg.step), mean, median, float(abs_err[-1]), rel))
     return records
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_steps, _in_range, _integer, _overflow
+from .core import _check_steps, _in_range, _integer, _overflow, _real
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -53,14 +53,10 @@ class SimConfig:
     sim_step: float = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", _integer("paths", self.paths))
+        object.__setattr__(self, "paths", _integer("paths", self.paths, 1))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
-        if self.paths < 1:
-            raise InvalidInput(f"paths must be >= 1, got {self.paths}")
-        if not 0 <= self.horizon < math.inf:
-            raise InvalidInput(f"horizon must be finite and >= 0, got {self.horizon}")
-        if not 0 < self.sim_step < math.inf:
-            raise InvalidInput(f"sim_step must be finite and > 0, got {self.sim_step}")
+        _real("horizon", self.horizon, 0)
+        _real("sim_step", self.sim_step, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -97,8 +93,7 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     values = np.asarray(terminals, dtype=np.float64).reshape(-1)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
-    if max_order < 1:
-        raise InvalidInput(f"max_order must be >= 1, got {max_order}")
+    max_order = _integer("max_order", max_order, 1)
     pairs = []
     root_n = math.sqrt(values.size)
     for k in range(1, max_order + 1):

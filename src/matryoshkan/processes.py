@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _check_order, _in_range
+from .core import MatryoshkanMatrix, _check_order, _in_range, _integer, _real, _reals
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     InsufficientMoments,
@@ -54,8 +54,7 @@ _PASCAL_BUFFER = np.empty((0, 0))
 
 def binomial_row(n: int) -> np.ndarray:
     """Row n of Pascal's triangle, C(n, 0..n), by the additive recurrence."""
-    if n < 0:
-        raise InvalidInput(f"binomial row index must be >= 0, got {n}")
+    n = _integer("n", n, 0)
     # the last row of the order-n block, C(n, 0..n-1), flattened by append
     # (empty at n = 0)
     return np.append(_pascal(n)[n - 1 :], 1.0)
@@ -86,18 +85,6 @@ def _gap(n: int, shift: int) -> np.ndarray:
     return np.tril(np.subtract.outer(np.arange(shift, n + shift), np.arange(n)))
 
 
-def _require_finite(record) -> None:
-    """Reject NaN and infinite numeric fields, naming the first one; NaN
-    passes every ordering check, so this runs before them."""
-    for name, value in vars(record).items():
-        if isinstance(value, tuple):
-            for i, v in enumerate(value):
-                if not math.isfinite(v):
-                    raise InvalidInput(f"{name}[{i}] must be finite, got {v!r}")
-        elif isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise InvalidInput(f"{name} must be finite, got {value!r}")
-
-
 def _squared(x: float) -> float:
     """x**2, or inf where Python's float power raises OverflowError; x * x
     would round differently."""
@@ -126,6 +113,12 @@ class JumpMoments:
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
 
 
+def _law(what: str, law, optional=False) -> JumpMoments | None:
+    if isinstance(law, JumpMoments) or (optional and law is None):
+        return law
+    raise InvalidInput(f"{what} must be a JumpMoments, got {law!r}")
+
+
 @dataclass(frozen=True)
 class DeterministicJumps(JumpMoments):
     """Fixed jump size c: E[J^k] = c^k."""
@@ -133,9 +126,7 @@ class DeterministicJumps(JumpMoments):
     size: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.size < 0:
-            raise InvalidInput(f"jump size must be >= 0, got {self.size}")
+        _real("size", self.size, 0)
 
     def moments(self, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -153,9 +144,7 @@ class ExponentialJumps(JumpMoments):
     rate: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.rate <= 0:
-            raise InvalidInput(f"exponential rate must be > 0, got {self.rate}")
+        _real("rate", self.rate, 0, above=True)
 
     def moments(self, n: int) -> np.ndarray:
         # r = p / q exactly, so E[J^k] = k! q^k / p^k is one integer division,
@@ -185,9 +174,8 @@ class LogNormalJumps(JumpMoments):
     scale: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.scale < 0:
-            raise InvalidInput(f"lognormal scale must be >= 0, got {self.scale}")
+        _real("location", self.location)
+        _real("scale", self.scale, 0)
 
     def moments(self, n: int) -> np.ndarray:
         # m = a / da and s = b / db exactly, so the exponent k m + (k s)^2 / 2
@@ -237,9 +225,8 @@ class ExplicitJumps(JumpMoments):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _reals("values", self.values)
         object.__setattr__(self, "values", vals)
-        _require_finite(self)
         if not vals:
             raise InvalidInput("explicit moment sequence is empty")
         if any(v <= 0 for v in vals):
@@ -282,20 +269,14 @@ class HawkesSpec:
     x0: float | None = None
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.lambda_star <= 0:
-            raise InvalidInput(f"lambda_star must be > 0, got {self.lambda_star}")
-        if self.alpha <= 0:
-            raise InvalidInput(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise InvalidInput(f"beta must be > 0, got {self.beta}")
-        x0 = self.lambda_star if self.x0 is None else float(self.x0)
-        if x0 <= 0:
-            raise InvalidInput(f"initial intensity must be > 0, got {x0}")
+        _real("lambda_star", self.lambda_star, 0, above=True)
+        _real("alpha", self.alpha, 0, above=True)
+        _real("beta", self.beta, 0, above=True)
+        x0 = self.lambda_star if self.x0 is None else _real("x0", self.x0, 0, above=True)
         object.__setattr__(self, "x0", x0)
 
     def generator(self) -> GenericGeneratorSpec:
-        blam = self.beta * self.lambda_star
+        blam = _real("beta * lambda_star", self.beta * self.lambda_star)
         return GenericGeneratorSpec(
             coeffs=(0.0, 1.0, 0.0, 0.0, blam, -self.beta, 0.0, 0.0, 0.0, 0.0),
             up=DeterministicJumps(self.alpha),
@@ -313,13 +294,10 @@ class ShotNoiseSpec:
     x0: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.rate <= 0:
-            raise InvalidInput(f"arrival rate must be > 0, got {self.rate}")
-        if self.decay <= 0:
-            raise InvalidInput(f"decay must be > 0, got {self.decay}")
-        if self.x0 < 0:
-            raise InvalidInput(f"initial value must be >= 0, got {self.x0}")
+        _real("rate", self.rate, 0, above=True)
+        _real("decay", self.decay, 0, above=True)
+        _law("jumps", self.jumps)
+        _real("x0", self.x0, 0)
 
     def generator(self) -> GenericGeneratorSpec:
         return GenericGeneratorSpec(
@@ -344,11 +322,11 @@ class ItoSpec:
     x0: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if not 0.0 <= self.gamma <= 2.0:
-            raise UnsupportedGamma(
-                f"gamma must lie in [0, 2], got {self.gamma}"
-            )
+        _real("mu", self.mu)
+        _real("theta", self.theta)
+        _real("sigma", self.sigma)
+        _real("gamma", self.gamma, 0, 2, error=UnsupportedGamma)
+        _real("x0", self.x0)
 
     def generator(self) -> GenericGeneratorSpec:
         """The diffusion term (sigma^2/2) x^gamma takes coefficient a(6+gamma)."""
@@ -358,8 +336,7 @@ class ItoSpec:
                 " use ito_gamma_bounds for fractional gamma"
             )
         diffusion = [0.0, 0.0, 0.0]
-        # an infinite coefficient is rejected by the generic record
-        diffusion[int(self.gamma)] = _squared(self.sigma) / 2
+        diffusion[int(self.gamma)] = _real("sigma**2 / 2", _squared(float(self.sigma)) / 2)
         return GenericGeneratorSpec(
             coeffs=(0.0, 0.0, 0.0, 0.0, self.mu, self.theta, *diffusion, 0.0),
             x0=self.x0,
@@ -380,15 +357,10 @@ class GrowthCollapseSpec:
     collapse: JumpMoments = field(default_factory=UniformJumps)
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.growth <= 0:
-            raise InvalidInput(f"growth rate must be > 0, got {self.growth}")
-        if self.collapse_rate <= 0:
-            raise InvalidInput(
-                f"collapse rate must be > 0, got {self.collapse_rate}"
-            )
-        if self.x0 < 0:
-            raise InvalidInput(f"initial value must be >= 0, got {self.x0}")
+        _real("growth", self.growth, 0, above=True)
+        _real("collapse_rate", self.collapse_rate, 0, above=True)
+        _real("x0", self.x0, 0)
+        _law("collapse", self.collapse)
 
     def generator(self) -> GenericGeneratorSpec:
         return GenericGeneratorSpec(
@@ -409,16 +381,10 @@ class EphemeralSpec:
     x0: int = 0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.baseline <= 0:
-            raise InvalidInput(f"baseline must be > 0, got {self.baseline}")
-        if self.jump <= 0:
-            raise InvalidInput(f"jump must be > 0, got {self.jump}")
-        if self.expiry <= self.jump:
-            raise InvalidInput(
-                f"expiry rate must exceed the jump ({self.jump}), got {self.expiry}"
-            )
-        if self.x0 < 0 or int(self.x0) != self.x0:
+        _real("baseline", self.baseline, 0, above=True)
+        jump = _real("jump", self.jump, 0, above=True)
+        _real("expiry", self.expiry, jump, above=True)
+        if _real("x0", self.x0) < 0 or int(self.x0) != self.x0:
             raise InvalidInput(
                 f"initial count must be a nonnegative integer, got {self.x0}"
             )
@@ -448,17 +414,17 @@ class GenericGeneratorSpec:
     x0: float = 0.0
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
+        c = _reals("coeffs", self.coeffs)
         if len(c) != 10:
             raise InvalidInput(f"expected 10 generator coefficients, got {len(c)}")
         object.__setattr__(self, "coeffs", c)
-        _require_finite(self)
-        for active, law, term in (
-            (c[0] != 0.0 or c[1] != 0.0, self.up, "up-jump moments required for the a0/a1 terms"),
-            (c[2] != 0.0 or c[3] != 0.0, self.down, "down-jump moments required for the a2/a3 terms"),
-            (c[9] != 0.0, self.collapse, "collapse moments required for the a9 term"),
+        _real("x0", self.x0)
+        for name, active, term in (
+            ("up", c[0] != 0.0 or c[1] != 0.0, "up-jump moments required for the a0/a1 terms"),
+            ("down", c[2] != 0.0 or c[3] != 0.0, "down-jump moments required for the a2/a3 terms"),
+            ("collapse", c[9] != 0.0, "collapse moments required for the a9 term"),
         ):
-            if active and law is None:
+            if _law(name, getattr(self, name), optional=True) is None and active:
                 raise InsufficientMoments(term)
 
     def generator(self) -> GenericGeneratorSpec:
@@ -482,7 +448,7 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
     _check_order(n)
-    return MatryoshkanMatrix._own(_pascal(n) * np.power(float(a), _gap(n, 1)))
+    return MatryoshkanMatrix._own(_pascal(n) * np.power(_real("a", a), _gap(n, 1)))
 
 
 def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
@@ -496,7 +462,7 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
     _check_order(k)
     binom = np.eye(k)
     binom[1:, :-1] += _pascal(k - 1)
-    return MatryoshkanMatrix._own(binom * np.power(float(a), _gap(k, 0)))
+    return MatryoshkanMatrix._own(binom * np.power(_real("a", a), _gap(k, 0)))
 
 
 # -- the builder --------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_exit_code_2_on_parameter_errors(capsys):
         assert code == 2 and "lambda-star" in err and "finite" in err
     # a descriptor the record rejects reports the record's reason
     code, _, err = run(capsys, "moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", "exponential:-1", "--order", "1", "--time", "1")
-    assert code == 2 and err == "error: --jumps: exponential rate must be > 0, got -1.0\n"
+    assert code == 2 and err == "error: --jumps: rate must be > 0, got -1.0\n"
     code, _, err = run(capsys, "moments", *HAWKES, "--order", "0", "--time", "1")
     assert code == 2 and "--order" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2", "--trials", "0")
@@ -276,7 +276,7 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "--paths" in err
     # one path passes the simulator, but a standard error needs two
     code, out, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "1", "--seed", "1")
-    assert code == 2 and out == "" and err == "error: --paths must be >= 2 for a standard error, got 1\n"
+    assert code == 2 and out == "" and err == "error: --paths must be >= 2, got 1\n"
     code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", "lambda-star,alpha=1,beta=2", "--order", "1", "--time", "1")
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
@@ -473,7 +473,7 @@ def test_time_past_1e300_gives_the_stationary_moments(capsys):
             ["moments", "--process", "ito", "--params", "mu=1,theta=-1,sigma=1e200,gamma=1",
              "--order", "2", "--time", "1"],
             2,
-            "error: coeffs[7] must be finite, got inf\n",
+            "error: sigma**2 / 2 must be finite, got inf\n",
         ),
         (
             ["steady", "--process", "shotnoise", "--params", "lambda=1,beta=4",

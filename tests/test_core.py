@@ -83,8 +83,8 @@ def test_accessors(rng):
     assert np.array_equal(m.leading(4).dense(), d[:4, :4])
     assert m.packed[: 4 * 5 // 2] is not None
     assert np.array_equal(m.leading(4).packed, m.packed[:10])
-    for k in (0, 7):
-        with pytest.raises(InvalidDimension, match=f"leading block order {k} out of range"):
+    for k, message in ((0, "k must be >= 1, got 0"), (7, "k must be <= 6, got 7")):
+        with pytest.raises(InvalidDimension, match=message):
             m.leading(k)
 
 

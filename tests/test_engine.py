@@ -305,7 +305,7 @@ def test_steady_nth_needs_only_the_leading_diagonals(order):
     with pytest.raises(NonStationary, match="position 3"):
         mk.steady_vector(system)
     # the moment order is checked before stability
-    with pytest.raises(InvalidInput, match=f"moment order {order + 1} out of range"):
+    with pytest.raises(InvalidInput, match=f"n must be <= {order}, got {order + 1}"):
         mk.steady_nth(system, order + 1)
 
 

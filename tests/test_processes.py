@@ -30,7 +30,7 @@ def test_binomial_rows_exact_up_to_56():
     for n in (0, 1, 5, 23, 56):
         row = mk.processes.binomial_row(n)
         assert np.array_equal(row, [float(math.comb(n, k)) for k in range(n + 1)])
-    with pytest.raises(InvalidInput, match="binomial row index must be >= 0, got -1"):
+    with pytest.raises(InvalidInput, match="n must be >= 0, got -1"):
         mk.processes.binomial_row(-1)
 
 
@@ -197,7 +197,7 @@ def test_explicit_moments_warn_when_invalid():
 
 def test_squares_past_the_double_range_are_library_errors():
     # Python's float ** raises OverflowError where a float product gives inf
-    with pytest.raises(InvalidInput, match=r"^coeffs\[7\] must be finite, got inf$"):
+    with pytest.raises(InvalidInput, match=r"^sigma\*\*2 / 2 must be finite, got inf$"):
         mk.build(mk.ItoSpec(1.0, -1.0, 1e200, 1.0), 2)
     with pytest.warns(MomentSequenceWarning, match="not log-convex at order 1$"):
         mk.ExplicitJumps((1e200, 1e300))
@@ -221,23 +221,23 @@ _RANGE_ERRORS = {
     "HawkesSpec.lambda_star": (lambda: mk.HawkesSpec(0.0, 1.0, 2.0), InvalidInput, "lambda_star must be > 0"),
     "HawkesSpec.alpha": (lambda: mk.HawkesSpec(1.0, 0.0, 2.0), InvalidInput, "alpha must be > 0"),
     "HawkesSpec.beta": (lambda: mk.HawkesSpec(1.0, 1.0, -2.0), InvalidInput, "beta must be > 0"),
-    "HawkesSpec.x0": (lambda: mk.HawkesSpec(1.0, 1.0, 2.0, x0=-1.0), InvalidInput, "initial intensity must be > 0"),
-    "ShotNoiseSpec.rate": (lambda: mk.ShotNoiseSpec(-1.0, 1.0, mk.UniformJumps()), InvalidInput, "arrival rate must be > 0"),
+    "HawkesSpec.x0": (lambda: mk.HawkesSpec(1.0, 1.0, 2.0, x0=-1.0), InvalidInput, "x0 must be > 0"),
+    "ShotNoiseSpec.rate": (lambda: mk.ShotNoiseSpec(-1.0, 1.0, mk.UniformJumps()), InvalidInput, "rate must be > 0"),
     "ShotNoiseSpec.decay": (lambda: mk.ShotNoiseSpec(1.0, 0.0, mk.UniformJumps()), InvalidInput, "decay must be > 0"),
-    "ShotNoiseSpec.x0": (lambda: mk.ShotNoiseSpec(1.0, 1.0, mk.UniformJumps(), -1.0), InvalidInput, "initial value must be >= 0"),
-    "ItoSpec.gamma": (lambda: mk.ItoSpec(0.0, -1.0, 1.0, 2.5), UnsupportedGamma, "gamma must lie in [0, 2]"),
-    "GrowthCollapseSpec.growth": (lambda: mk.GrowthCollapseSpec(0.0, 1.0), InvalidInput, "growth rate must be > 0"),
-    "GrowthCollapseSpec.collapse_rate": (lambda: mk.GrowthCollapseSpec(1.0, -1.0), InvalidInput, "collapse rate must be > 0"),
-    "GrowthCollapseSpec.x0": (lambda: mk.GrowthCollapseSpec(1.0, 1.0, -1.0), InvalidInput, "initial value must be >= 0"),
+    "ShotNoiseSpec.x0": (lambda: mk.ShotNoiseSpec(1.0, 1.0, mk.UniformJumps(), -1.0), InvalidInput, "x0 must be >= 0"),
+    "ItoSpec.gamma": (lambda: mk.ItoSpec(0.0, -1.0, 1.0, 2.5), UnsupportedGamma, "gamma must be <= 2"),
+    "GrowthCollapseSpec.growth": (lambda: mk.GrowthCollapseSpec(0.0, 1.0), InvalidInput, "growth must be > 0"),
+    "GrowthCollapseSpec.collapse_rate": (lambda: mk.GrowthCollapseSpec(1.0, -1.0), InvalidInput, "collapse_rate must be > 0"),
+    "GrowthCollapseSpec.x0": (lambda: mk.GrowthCollapseSpec(1.0, 1.0, -1.0), InvalidInput, "x0 must be >= 0"),
     "EphemeralSpec.baseline": (lambda: mk.EphemeralSpec(0.0, 1.0, 2.0), InvalidInput, "baseline must be > 0"),
     "EphemeralSpec.jump": (lambda: mk.EphemeralSpec(1.0, 0.0, 2.0), InvalidInput, "jump must be > 0"),
-    "EphemeralSpec.expiry": (lambda: mk.EphemeralSpec(1.0, 2.0, 2.0), InvalidInput, "expiry rate must exceed the jump"),
+    "EphemeralSpec.expiry": (lambda: mk.EphemeralSpec(1.0, 2.0, 2.0), InvalidInput, "expiry must be > 2.0"),
     "EphemeralSpec.x0": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, -1), InvalidInput, "initial count must be a nonnegative"),
     "EphemeralSpec.x0-fraction": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, 0.5), InvalidInput, "initial count must be a nonnegative"),
     "GenericGeneratorSpec.coeffs": (lambda: mk.GenericGeneratorSpec((1.0,) * 9), InvalidInput, "expected 10 generator coefficients"),
-    "DeterministicJumps.size": (lambda: mk.DeterministicJumps(-1.0), InvalidInput, "jump size must be >= 0"),
-    "ExponentialJumps.rate": (lambda: mk.ExponentialJumps(0.0), InvalidInput, "exponential rate must be > 0"),
-    "LogNormalJumps.scale": (lambda: mk.LogNormalJumps(0.0, -1.0), InvalidInput, "lognormal scale must be >= 0"),
+    "DeterministicJumps.size": (lambda: mk.DeterministicJumps(-1.0), InvalidInput, "size must be >= 0"),
+    "ExponentialJumps.rate": (lambda: mk.ExponentialJumps(0.0), InvalidInput, "rate must be > 0"),
+    "LogNormalJumps.scale": (lambda: mk.LogNormalJumps(0.0, -1.0), InvalidInput, "scale must be >= 0"),
     "ExplicitJumps.values": (lambda: mk.ExplicitJumps(()), InvalidInput, "explicit moment sequence is empty"),
 }
 
