@@ -231,11 +231,14 @@ def _metadata(args, params: dict[str, float], extra: dict) -> dict:
 
 def _dispatch(args) -> str:
     _integer("--order", args.order, 1)
+    if args.command != "steady":
+        _real("--time", args.time, 0)
     params = _parse_params(args.params)
     spec = _make_spec(args, params)
 
     if args.command == "simulate":
         _integer("--paths", args.paths, 2)
+        _real("--sim-step", args.sim_step, 0, above=True)
         cfg = mc.SimConfig(
             paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
         )

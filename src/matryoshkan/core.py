@@ -150,9 +150,17 @@ def _check_steps(what: str, count: float) -> None:
         raise InvalidInput(f"{count:.3g} {what} per path exceed the limit of {_MAX_STEPS:.0e}")
 
 
-def _frozen(values) -> np.ndarray:
+def _floats(what: str, values) -> np.ndarray:
+    """``values`` as float64, refusing strings and other non-numbers as ``_real`` does."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise InvalidInput(f"{what} must be real numbers, got {values!r}")
+    return a.astype(np.float64, copy=False)
+
+
+def _frozen(what: str, values) -> np.ndarray:
     """A read-only flat float64 copy of ``values``."""
-    out = np.asarray(values, dtype=np.float64).reshape(-1).copy()
+    out = _floats(what, values).reshape(-1).copy()
     out.setflags(write=False)
     return out
 
@@ -169,7 +177,7 @@ class MatryoshkanMatrix:
     __slots__ = ("order", "_data")
 
     def __init__(self, array):
-        a = np.asarray(array, dtype=np.float64)
+        a = _floats("array", array)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
         _check_order(a.shape[0])
@@ -200,7 +208,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
-        d = np.asarray(values, dtype=np.float64).reshape(-1)
+        d = _floats("values", values).reshape(-1)
         _check_order(d.shape[0])
         return cls._own(np.diag(d))
 
@@ -315,9 +323,11 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     coef = _TAYLOR_COEF[index]
     p = coef.shape[1] - 1
     n = B.shape[0]
+    idx = np.diag_indices(n)
     powers = np.empty((p + 1, n, n))
-    powers[0] = np.eye(n)
-    powers[1] = np.ldexp(B, -s)
+    powers[0] = 0.0
+    powers[0][idx] = 1.0
+    np.ldexp(B, -s, out=powers[1])
     for j in range(2, p + 1):
         _tril_matmul(powers[j - 1], powers[1], powers[j])
     chunks = (coef @ powers.reshape(p + 1, n * n)).reshape(-1, n, n)
@@ -329,7 +339,6 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     # R approximates e^{2^{-s} B} and squaring i gives e^{2^{i+1-s} B}: each
     # diagonal is known exactly
     diagonals = np.exp(np.ldexp(np.diagonal(B), np.arange(-s, 1 - r)[:, None]))
-    idx = np.diag_indices(n)
     R[idx] = diagonals[0]
     for diagonal in diagonals[1:]:
         R, spare = _tril_matmul(R, R, spare), R
@@ -345,19 +354,19 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
     """Solve M x = rhs by forward substitution.
 
     Raises:
+        InvalidInput: rhs holds entries that are not numbers.
         InvalidDimension: rhs does not have shape (order,).
         SingularMatrix: a diagonal entry is zero.
     """
-    b = np.asarray(rhs, dtype=np.float64)
+    b = _floats("rhs", rhs)
     if b.shape != (m.order,):
         raise InvalidDimension(f"rhs shape {b.shape} != ({m.order},)")
     L = m.dense()
-    d = m.diagonal()
     x = np.empty(m.order)
-    for i in range(m.order):
-        if d[i] == 0.0:
+    for i, (b_i, d_i) in enumerate(zip(b.tolist(), m.diagonal().tolist())):
+        if d_i == 0.0:
             raise SingularMatrix(i + 1)
-        x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / d[i]
+        x[i] = (b_i - float(np.dot(L[i, :i], x[:i]))) / d_i
     return x
 
 
@@ -423,7 +432,7 @@ def extend(
 
     With ``base=None`` and an empty row this is the order-1 base case.
     """
-    r = np.asarray(row, dtype=np.float64)
+    r, diag = _floats("row", row), float(_floats("diag", diag))
     if r.ndim != 1:
         raise InvalidDimension(f"row must be one-dimensional, got shape {r.shape}")
     if base is None:
@@ -438,7 +447,7 @@ def extend(
     X = np.zeros((n + 1, n + 1))
     X[:n, :n] = base.dense()
     X[n, :n] = r
-    X[n, n] = float(diag)
+    X[n, n] = diag
     return MatryoshkanMatrix._own(X)
 
 

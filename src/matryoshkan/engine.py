@@ -61,7 +61,7 @@ class CoefficientSystem:
     theta0: np.ndarray
 
     def __post_init__(self):
-        shift = core._frozen(self.theta0)
+        shift = core._frozen("theta0", self.theta0)
         if shift.shape[0] != self.theta.order:
             raise InvalidInput(
                 f"shift vector length {shift.shape[0]} != order {self.theta.order}"
@@ -84,7 +84,7 @@ class InitialMomentVector:
     powers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", core._frozen(self.powers))
+        object.__setattr__(self, "powers", core._frozen("powers", self.powers))
 
     @classmethod
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":
@@ -106,7 +106,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", core._frozen(self.values))
+        object.__setattr__(self, "values", core._frozen("values", self.values))
 
     @property
     def order(self) -> int:
@@ -121,7 +121,8 @@ def _stationary(system: CoefficientSystem) -> np.ndarray:
 
 
 def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Power-of-two exponents e_k of a diagonal similarity for e^{A t} v.
+    """Power-of-two exponents e_k of a diagonal similarity for e^{A t} v, as
+    int32, whose ldexp numpy vectorizes.
 
     Component k is scaled by its heaviest generator path from row 0 or from
     v, the p-th jump into component k weighing |a_kj| min(t/p, 1/|a_kk|):
@@ -129,25 +130,35 @@ def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     holds at most 1/|a_kk| of its inflow.  Each component keeps only its
     heaviest path, so row k reads rows <= k alone, and the pass works in
     logarithms so that no weight underflows.
+
+    Row k is one add and one argmax over its whole row of log|A|, against
+    P_j = log(t/(p_j+1)) + log w_j, or against min(P, W + log hold) with
+    W_j = log w_j where the hold binds; both read -inf for rows not yet final.
+    Rounding is monotone, so every candidate keeps the bits of
+    (min(log(t/(p_j+1)), log hold) + log w_j) + log|a_kj|.
     """
     with np.errstate(divide="ignore"):
         log_a = np.log(np.abs(A))
-        log_w = np.log(np.abs(v))
-        log_hold = -np.log(np.abs(np.diagonal(A)))
-    log_t = math.log(t)
-    jumps = [0] * A.shape[0]
-    log_next = np.full(A.shape[0], log_t)  # log(t / (jumps + 1)), the next jump's time factor
-    for k in range(1, A.shape[0]):
-        cand = np.minimum(log_next[:k], log_hold[k])
-        cand += log_w[:k]
-        cand += log_a[k, :k]
+        log_v = np.log(np.abs(v)).tolist()
+        log_hold = (-np.log(np.abs(np.diagonal(A)))).tolist()
+    log_t, size = math.log(t), A.shape[0]
+    P, W = np.full((2, size), -math.inf)
+    P[0], W[0] = log_t + log_v[0], log_v[0]
+    jumps, cand = [0] * size, np.empty(size)
+    for k, row, hold, w in zip(range(1, size), log_a[1:], log_hold[1:], log_v[1:]):
+        if hold >= log_t:  # no log(t/(p_j+1)) exceeds log t, so the hold does not bind
+            np.add(P, row, out=cand)
+        else:
+            np.minimum(P, np.add(W, hold, out=cand), out=cand)
+            cand += row
         j = int(cand.argmax())
-        if cand[j] > log_w[k]:
-            log_w[k] = cand[j]
-            jumps[k] = jumps[j] + 1
-            log_next[k] = log_t - math.log(jumps[k] + 1)
-    e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -_GRADE_EXP)
-    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int64)
+        best = cand.item(j)
+        if best > w:
+            w, jumps[k] = best, jumps[j] + 1
+        W[k] = w
+        P[k] = log_t - math.log(jumps[k] + 1) + w
+    e = np.where(np.isfinite(W), np.rint(W / math.log(2.0)), -_GRADE_EXP)
+    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int32)
 
 
 def transient_vector(
@@ -184,7 +195,8 @@ def transient_vector(
         A[1:, 1:] = T
         v = np.concatenate(([1.0], start))
         e = _grading(A, v, t)
-        w = core._taylor_exp(np.ldexp(A * t, e[None, :] - e[:, None]), np.ldexp(v, -e))
+        np.ldexp(np.multiply(A, t, out=A), e[None, :] - e[:, None], out=A)
+        w = core._taylor_exp(A, np.ldexp(v, -e))
         values = np.ldexp(w, e)[1:]
         if anchor is not None:
             # only here: -0.0 + 0.0 would turn a flow's -0.0 into +0.0

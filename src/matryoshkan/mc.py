@@ -121,13 +121,16 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         raise InvalidInput("generic simulation does not support diffusion terms")
     if a[9] < 0.0:
         raise InvalidInput(f"negative collapse rate {a[9]!r}")
-    # (jump-size law, how it acts on the state), in draw order
-    events = ((g.up, np.add), (g.down, np.subtract), (g.collapse, np.multiply))
+    # (jump-size law, how it acts on the state, rate coefficients) in draw order;
+    # a kind whose rate is identically zero owns an empty slice and is never drawn
+    kinds = ((g.up, np.add, a[:2]), (g.down, np.subtract, a[2:4]), (g.collapse, np.multiply, a[9:]))
+    events = [(k, law, act) for k, (law, act, rates) in enumerate(kinds) if any(rates)]
 
     def flow(x, s):
         if a[5] == 0.0:
             return x + a[4] * s
-        return x * np.exp(a[5] * s) + a[4] * np.expm1(a[5] * s) / a[5]
+        a5s = a[5] * s
+        return x * np.exp(a5s) + a[4] * np.expm1(a5s) / a[5]
 
     def edges(x):
         """Cumulative up, down and collapse rates at states x: event k owns
@@ -142,28 +145,28 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         out = np.empty(m)
         live = np.arange(m)
         x, t = np.full(m, float(g.x0)), np.zeros(m)
-        while live.size:
-            window = horizon - t
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            while live.size:
+                window = horizon - t
                 x_end = flow(x, window)
                 bound = np.maximum(edges(x)[2], edges(x_end)[2])
                 s = rng.standard_exponential(live.size) / bound
-            peak = float(bound.max())
-            if not math.isfinite(peak):
-                raise _overflow("jump-rate bound")
-            _check_steps("expected thinning proposals", peak * horizon)
-            done = ~(s < window)
-            out[live[done]] = x_end[done]
-            go = ~done
-            live, s, bound = live[go], s[go], bound[go]
-            x, t = flow(x[go], s), t[go] + s
-            # past the last slice (kind 3) the proposal is a thinning rejection
-            u = rng.random(live.size) * bound
-            kind = (u >= np.array(edges(x))).sum(axis=0)
-            for k, (jumps, act) in enumerate(events):
-                hit = kind == k
-                if hit.any():
-                    x[hit] = act(x[hit], jumps.sample(rng, int(hit.sum())))
+                peak = float(bound.max())
+                if not math.isfinite(peak):
+                    raise _overflow("jump-rate bound")
+                _check_steps("expected thinning proposals", peak * horizon)
+                done = ~(s < window)
+                out[live[done]] = x_end[done]
+                go = ~done
+                live, s, bound = live[go], s[go], bound[go]
+                x, t = flow(x[go], s), t[go] + s
+                # past the last slice (kind 3) the proposal is a thinning rejection
+                u = rng.random(live.size) * bound
+                kind = (u >= np.array(edges(x))).sum(axis=0)
+                for k, jumps, act in events:
+                    hit = kind == k
+                    if hit.any():
+                        x[hit] = act(x[hit], jumps.sample(rng, int(hit.sum())))
         return out
 
     return run

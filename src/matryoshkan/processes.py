@@ -129,6 +129,7 @@ class DeterministicJumps(JumpMoments):
         _real("size", self.size, 0)
 
     def moments(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         with np.errstate(over="ignore"):
             out = np.power(float(self.size), np.arange(1, n + 1, dtype=np.float64))
         return _in_range("deterministic jump moment", out)
@@ -147,6 +148,7 @@ class ExponentialJumps(JumpMoments):
         _real("rate", self.rate, 0, above=True)
 
     def moments(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         # r = p / q exactly, so E[J^k] = k! q^k / p^k is one integer division,
         # which rounds once and raises only when the quotient itself is too
         # large; a log-convex sequence that overflows stays overflowed
@@ -178,6 +180,7 @@ class LogNormalJumps(JumpMoments):
         _real("scale", self.scale, 0)
 
     def moments(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         # m = a / da and s = b / db exactly, so the exponent k m + (k s)^2 / 2
         # is num / den with den a power of two; y = float(num / den) is a
         # multiple of 1 / den, and with d = num / den - y (below half an ulp
@@ -207,6 +210,7 @@ class UniformJumps(JumpMoments):
     """Uniform(0, 1) jumps: E[J^k] = 1/(k+1)."""
 
     def moments(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         return 1.0 / np.arange(2.0, n + 2.0)
 
     def sample(self, rng, size):
@@ -247,6 +251,7 @@ class ExplicitJumps(JumpMoments):
                 break
 
     def moments(self, n: int) -> np.ndarray:
+        n = _integer("n", n, 0)
         if n > len(self.values):
             raise InsufficientMoments(
                 f"explicit moments provided up to order {len(self.values)}, "

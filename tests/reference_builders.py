@@ -7,15 +7,19 @@ these functions, so the equivalence check is not a tautology.
 `reference_generic_build` applies any generic generator row by row, one
 Python loop iteration per moment order, as the library once did.
 `reference_inverse` and `reference_eigendecompose` are the two row loops the
-library once wrote out separately and now shares.  This module holds no
-tests.
+library once wrote out separately and now shares.  `reference_grading` and
+`reference_solve_lower` are the grading and forward-substitution loops the
+engine and core ran before their rows lost their per-call numpy overhead.
+This module holds no tests.
 """
+
+import math
 
 import numpy as np
 
 from matryoshkan.core import MatryoshkanMatrix
 from matryoshkan.engine import CoefficientSystem, InitialMomentVector
-from matryoshkan.errors import InvalidInput, UnsupportedGamma
+from matryoshkan.errors import InvalidInput, SingularMatrix, UnsupportedGamma
 from matryoshkan.processes import binomial_row
 
 
@@ -260,6 +264,42 @@ def reference_eigendecompose(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
         U[i, :i] = (L[i, :i] @ U[:i, :i]) / (d[:i] - d[i])
         U[i, i] = 1.0
     return MatryoshkanMatrix(U)
+
+
+def reference_grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Grading exponents of e^{A t} v, row k scanning the candidates
+    (min(log(t/(p_j+1)), log hold_k) + log w_j) + log|a_kj| of rows j < k
+    with five numpy calls and three slices."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(A))
+        log_w = np.log(np.abs(v))
+        log_hold = -np.log(np.abs(np.diagonal(A)))
+    log_t = math.log(t)
+    jumps = [0] * A.shape[0]
+    log_next = np.full(A.shape[0], log_t)
+    for k in range(1, A.shape[0]):
+        cand = np.minimum(log_next[:k], log_hold[k])
+        cand += log_w[:k]
+        cand += log_a[k, :k]
+        j = int(cand.argmax())
+        if cand[j] > log_w[k]:
+            log_w[k] = cand[j]
+            jumps[k] = jumps[j] + 1
+            log_next[k] = log_t - math.log(jumps[k] + 1)
+    e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -1000)
+    return np.clip(e, -1000, 1000).astype(np.int64)
+
+
+def reference_solve_lower(m: MatryoshkanMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Forward substitution on numpy scalars: x_i = (b_i - L_i x) / d_i."""
+    b = np.asarray(rhs, dtype=np.float64)
+    L, d = m.dense(), m.diagonal()
+    x = np.empty(m.order)
+    for i in range(m.order):
+        if d[i] == 0.0:
+            raise SingularMatrix(i + 1)
+        x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / d[i]
+    return x
 
 
 def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:

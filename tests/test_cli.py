@@ -277,6 +277,14 @@ def test_exit_code_2_on_parameter_errors(capsys):
     # one path passes the simulator, but a standard error needs two
     code, out, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "1", "--seed", "1")
     assert code == 2 and out == "" and err == "error: --paths must be >= 2, got 1\n"
+    # a value the library refuses is named by its flag, not by the parameter
+    code, out, err = run(capsys, "moments", *HAWKES, "--order", "1", "--time", "-1")
+    assert code == 2 and out == "" and err == "error: --time must be >= 0, got -1.0\n"
+    code, out, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "nan", "--deltas", "1e-2")
+    assert code == 2 and out == "" and err == "error: --time must be finite, got nan\n"
+    code, out, err = run(capsys, "simulate", *HAWKES, "--order", "1", "--time", "1", "--paths", "10", "--seed", "1",
+                         "--sim-step", "0")
+    assert code == 2 and out == "" and err == "error: --sim-step must be > 0, got 0.0\n"
     code, _, err = run(capsys, "moments", "--process", "hawkes", "--params", "lambda-star,alpha=1,beta=2", "--order", "1", "--time", "1")
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")

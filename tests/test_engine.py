@@ -9,9 +9,11 @@ import matryoshkan as mk
 from matryoshkan.errors import InvalidInput, NonStationary, Overflow
 
 from conftest import FIXTURES, NONNEGATIVE, STABLE, build_fixture
+from corpus import CASES
 from oracle import (
     benchmark_spec, cached_transient_references, exact_steady, exact_transient, spec_system, worst_relative_error,
 )
+from reference_builders import reference_grading, reference_solve_lower
 
 
 def scalar_system(theta11, theta01):
@@ -447,3 +449,40 @@ def test_validate_never_raises_on_coincident_diagonals():
     system, _ = mk.build(mk.ItoSpec(mu=0.0, theta=-1.5, sigma=1.0, gamma=2.0), 3)
     report = mk.validate(system)
     assert (1, 3) in report.coincident_pairs
+
+
+def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
+    # every benchmark family at n in {10, 30, 60, 100} and t in {0.01, ..., 50},
+    # anchor cells included, the zero and repeated diagonals, and the sweep's
+    # generic draws
+    real, wrong, graded = mk.engine._grading, [], []
+
+    def spy(A, v, t):
+        e = real(A, v, t)
+        graded.append((A.shape[0], t))
+        if not np.array_equal(e, reference_grading(A, v, t)):
+            wrong.append(f"grading n={A.shape[0] - 1} t={t}")
+        return e
+
+    monkeypatch.setattr(mk.engine, "_grading", spy)
+    for label, spec, n, times in CASES:
+        try:
+            system, init = mk.build(spec, n)
+        except Overflow:
+            continue
+        for t in times:
+            try:
+                mk.transient_vector(system, init, t)
+            except Overflow:
+                pass
+        outcomes = []
+        for solve in (mk.solve_lower, reference_solve_lower):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    outcomes.append(solve(system.theta, -system.theta0).tobytes())
+                except mk.SingularMatrix as exc:
+                    outcomes.append(exc.index)
+        if outcomes[0] != outcomes[1]:
+            wrong.append(f"solve_lower {label}")
+    assert wrong == []
+    assert len(graded) >= 200

@@ -25,6 +25,12 @@ def _bad_real(out_of_range=None, error=InvalidInput, optional=False):
     return bad + ([] if out_of_range is None else [(out_of_range, error)])
 
 
+def _bad_array(size):
+    """Bad entries of an array of ``size`` numbers: strings that float()
+    would parse, and None."""
+    return [(["1"] * size, InvalidInput), ([None] * size, InvalidInput)]
+
+
 def _bad_law(optional=False):
     """Bad values of a jump-law field: a number, a descriptor string and,
     where the law is required, None."""
@@ -53,6 +59,11 @@ _TABLE = [
     ("max_order", lambda v: mk.estimate_moments([1.0, 2.0, 3.0], v), _bad_count(0)),
     ("paths", lambda v: mk.SimConfig(v, 1.0, 1), _bad_count(0)),
     ("seed", lambda v: mk.SimConfig(3, 1.0, v), _bad_count()),
+    ("n", lambda v: mk.DeterministicJumps(1.0).moments(v), _bad_count(-1)),
+    ("n", lambda v: mk.ExponentialJumps(2.0).moments(v), _bad_count(-1)),
+    ("n", lambda v: mk.LogNormalJumps(0.0, 1.0).moments(v), _bad_count(-1)),
+    ("n", lambda v: mk.UniformJumps().moments(v), _bad_count(-1)),
+    ("n", lambda v: mk.ExplicitJumps((1.0, 2.0)).moments(v), _bad_count(-1)),
     # reals of functions and configurations
     ("t", lambda v: mk.transient_vector(_SYSTEM, _INIT, v), _bad_real(-1.0)),
     ("t", lambda v: mk.transient_scalar(_SYSTEM, _INIT, v, 2), _bad_real(-1.0)),
@@ -65,6 +76,15 @@ _TABLE = [
     ("horizon", lambda v: mk.EulerConfig(0.1, v), _bad_real(-1.0)),
     ("horizon", lambda v: mk.SimConfig(3, v, 1), _bad_real(-1.0)),
     ("sim_step", lambda v: mk.SimConfig(3, 1.0, 1, sim_step=v), _bad_real(0.0)),
+    # arrays of matrix entries and vectors
+    ("array", lambda v: mk.MatryoshkanMatrix([v]), _bad_array(1)),
+    ("values", lambda v: mk.MatryoshkanMatrix.from_diagonal(v), _bad_array(2)),
+    ("row", lambda v: mk.extend(_M, v, -4.0), _bad_array(3)),
+    ("diag", lambda v: mk.extend(None, [], v), [("3", InvalidInput), (None, InvalidInput)]),
+    ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3)),
+    ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3)),
+    ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3)),
+    ("values", lambda v: mk.MomentVector(v), _bad_array(3)),
     # record fields
     ("lambda_star", lambda v: mk.HawkesSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("alpha", lambda v: mk.HawkesSpec(1.0, v, 2.0), _bad_real(-1.0)),
