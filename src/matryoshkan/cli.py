@@ -24,7 +24,7 @@ import json
 import sys
 import warnings
 
-from . import __version__, engine, euler, mc, processes
+from . import __version__, engine, processes
 from .core import _integer, _real
 from .errors import InvalidInput, MatryoshkanError, Overflow
 
@@ -236,7 +236,9 @@ def _dispatch(args) -> str:
     params = _parse_params(args.params)
     spec = _make_spec(args, params)
 
+    # euler and mc load only for the commands that run them
     if args.command == "simulate":
+        from . import mc
         _integer("--paths", args.paths, 2)
         _real("--sim-step", args.sim_step, 0, above=True)
         cfg = mc.SimConfig(
@@ -250,6 +252,7 @@ def _dispatch(args) -> str:
         ]
         extra = {"paths": args.paths, "seed": args.seed, "sim_step": args.sim_step}
     elif args.command == "bench":
+        from . import euler
         deltas = _parse_deltas(args.deltas)
         _integer("--trials", args.trials, 1)
         system, init = processes.build(spec, args.order)

@@ -132,31 +132,40 @@ def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     logarithms so that no weight underflows.
 
     Row k is one add and one argmax over its whole row of log|A|, against
-    P_j = log(t/(p_j+1)) + log w_j, or against min(P, W + log hold) with
-    W_j = log w_j where the hold binds; both read -inf for rows not yet final.
-    Rounding is monotone, so every candidate keeps the bits of
+    P_j = log(t/(p_j+1)) + log w_j; against W + log hold, W_j = log w_j, where
+    the hold binds on every finished row; or against min(P, W + log hold)
+    where it binds on some.  All read -inf for rows not yet final.  Rounding
+    is monotone, so every candidate keeps the bits of
     (min(log(t/(p_j+1)), log hold) + log w_j) + log|a_kj|.
     """
+    magnitude = np.abs(A)  # log 0 = -inf without numpy's slow path; NaN stays NaN
+    log_a = np.log(magnitude, out=np.full(A.shape, -math.inf), where=magnitude != 0.0)
+    log_hold = (-np.diagonal(log_a)).tolist()
     with np.errstate(divide="ignore"):
-        log_a = np.log(np.abs(A))
         log_v = np.log(np.abs(v)).tolist()
-        log_hold = (-np.log(np.abs(np.diagonal(A)))).tolist()
     log_t, size = math.log(t), A.shape[0]
     P, W = np.full((2, size), -math.inf)
     P[0], W[0] = log_t + log_v[0], log_v[0]
     jumps, cand = [0] * size, np.empty(size)
+    held = log_t  # the least log(t/(p_j+1)) of the finished rows
     for k, row, hold, w in zip(range(1, size), log_a[1:], log_hold[1:], log_v[1:]):
         if hold >= log_t:  # no log(t/(p_j+1)) exceeds log t, so the hold does not bind
             np.add(P, row, out=cand)
         else:
-            np.minimum(P, np.add(W, hold, out=cand), out=cand)
+            np.add(W, hold, out=cand)
+            if hold > held:  # the hold binds on some finished rows only
+                np.minimum(P, cand, out=cand)
             cand += row
         j = int(cand.argmax())
         best = cand.item(j)
+        log_next = log_t  # log(t/(p+1)) at p = 0, exactly
         if best > w:
             w, jumps[k] = best, jumps[j] + 1
+            log_next = log_t - math.log(jumps[k] + 1)
+            if log_next < held:
+                held = log_next
         W[k] = w
-        P[k] = log_t - math.log(jumps[k] + 1) + w
+        P[k] = log_next + w
     e = np.where(np.isfinite(W), np.rint(W / math.log(2.0)), -_GRADE_EXP)
     return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int32)
 
@@ -186,7 +195,7 @@ def transient_vector(
     shift, start = system.theta0, init.powers
     with np.errstate(over="ignore", invalid="ignore"):
         anchor = None
-        if np.all(system.theta.diagonal() * t <= _LOG_EPS):
+        if system.theta.diagonal().max() * t <= _LOG_EPS:
             anchor = _stationary(system)
             shift = T @ anchor + shift
             start = start - anchor

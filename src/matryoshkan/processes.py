@@ -45,11 +45,12 @@ __all__ = [
     "pascal_matryoshkan",
 ]
 
-# The unit Pascal Matryoshkan matrix of the largest order asked for so far:
-# C(k, j) at row k - 1, column j < k, and 0.0 above the diagonal.  Its
-# order-n leading block serves order n, so one read-only buffer serves every
-# order and is only ever replaced by a larger one.
-_PASCAL_BUFFER = np.empty((0, 0))
+# The unit Pascal Matryoshkan matrix of the largest order m asked for so far
+# (C(k, j) at row k - 1, column j < k) beside the order-(m + 1) index table
+# i - j, whose rows 1..n are i - j + 1 at order n; both are 0 above the
+# diagonal, where a Pascal entry times a^0 or E[J^0] = 1 stays an exact +0.0.
+# Leading blocks serve every smaller order, so the read-only pair only grows.
+_PASCAL_BUFFER = (np.empty((0, 0)), np.zeros((1, 1), dtype=np.intp))
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -57,15 +58,15 @@ def binomial_row(n: int) -> np.ndarray:
     n = _integer("n", n, 0)
     # the last row of the order-n block, C(n, 0..n-1), flattened by append
     # (empty at n = 0)
-    return np.append(_pascal(n)[n - 1 :], 1.0)
+    return np.append(_tables(n)[0][n - 1 :], 1.0)
 
 
-def _pascal(n: int) -> np.ndarray:
-    """The order-n leading block of the shared unit Pascal matrix."""
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-n leading block of the shared Pascal matrix, and the index table."""
     global _PASCAL_BUFFER
     # Read the buffer once: a concurrent call may swap in one of another
     # size, which costs a later regrowth but never a short block here.
-    pascal = _PASCAL_BUFFER
+    pascal, gap = _PASCAL_BUFFER
     if pascal.shape[0] < n:
         pascal = np.zeros((n, n))
         pascal[:, 0] = 1.0
@@ -74,15 +75,11 @@ def _pascal(n: int) -> np.ndarray:
             prev = pascal[k - 1, :k]
             pascal[k, 1:k] = prev[:-1] + prev[1:]
             pascal[k, k] = prev[-1] + 1.0
+        gap = np.tril(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
         pascal.setflags(write=False)
-        _PASCAL_BUFFER = pascal
-    return pascal[:n, :n]
-
-
-def _gap(n: int, shift: int) -> np.ndarray:
-    """i - j + shift at row i, column j on and below the diagonal; 0 above,
-    where a Pascal entry times a^0 or E[J^0] = 1 stays an exact +0.0."""
-    return np.tril(np.subtract.outer(np.arange(shift, n + shift), np.arange(n)))
+        gap.setflags(write=False)
+        _PASCAL_BUFFER = pascal, gap
+    return pascal[:n, :n], gap
 
 
 def _squared(x: float) -> float:
@@ -453,7 +450,8 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
     _check_order(n)
-    return MatryoshkanMatrix._own(_pascal(n) * np.power(_real("a", a), _gap(n, 1)))
+    pascal, gap = _tables(n)
+    return MatryoshkanMatrix._own(pascal * np.power(_real("a", a), gap[1 : n + 1, :n]))
 
 
 def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
@@ -465,9 +463,10 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
     matrix.
     """
     _check_order(k)
+    pascal, gap = _tables(k - 1)
     binom = np.eye(k)
-    binom[1:, :-1] += _pascal(k - 1)
-    return MatryoshkanMatrix._own(binom * np.power(_real("a", a), _gap(k, 0)))
+    binom[1:, :-1] += pascal
+    return MatryoshkanMatrix._own(binom * np.power(_real("a", a), gap[:k, :k]))
 
 
 # -- the builder --------------------------------------------------------------
@@ -491,26 +490,25 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     _check_order(n)
     spec = spec.generator()
     a = spec.coeffs
-    # (rate on x^j, rate on x^(j+1), E[(sign J)^i] for i = 0..n) of each active
-    # jump term; negation is exact, so a down-jump's sign folds into E bit for bit
-    jumps = [
-        (a[r], a[r + 1], np.concatenate(([1.0], law.moments(n))) * sign ** np.arange(n + 1.0))
-        for r, law, sign in ((0, spec.up, 1.0), (2, spec.down, -1.0))
-        if a[r] != 0.0 or a[r + 1] != 0.0
-    ]
-    ec = spec.collapse.moments(n) if a[9] != 0.0 else None
-
     coef = np.zeros((n, n + 1))
     # Entry C(k, j) E[J^(k-j)] of row k multiplies x^j (rates a0, a2) or
-    # x^(j+1) (rates a1, a3); above the diagonal it is an exact zero.
-    if jumps:
-        pascal, gap = _pascal(n), _gap(n, 1)
-    for const, linear, moments in jumps:
-        e = moments[gap]
-        if const != 0.0:
-            coef[:, :-1] += const * pascal * e
-        if linear != 0.0:
-            coef[:, 1:] += linear * pascal * e
+    # x^(j+1) (rates a1, a3); above the diagonal it is an exact zero.  Each
+    # term is formed as (rate * C) * E in one scratch array.  Negation is
+    # exact, so a down-jump's sign folds into E[J^i] bit for bit.
+    for r, law in ((0, spec.up), (2, spec.down)):
+        if a[r] == 0.0 and a[r + 1] == 0.0:
+            continue
+        moments = np.concatenate(([1.0], law.moments(n)))
+        if r == 2:
+            np.negative(moments[1::2], out=moments[1::2])
+        pascal, gap = _tables(n)
+        # take gathers through the strided view at about half the cost of indexing
+        e, term = np.take(moments, gap[1 : n + 1, :n]), np.empty((n, n))
+        for rate, columns in ((a[r], coef[:, :-1]), (a[r + 1], coef[:, 1:])):
+            if rate != 0.0:
+                np.multiply(rate, pascal, out=term)
+                term *= e
+                columns += term
 
     # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
     # the last)
@@ -528,8 +526,8 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
         x_k1[1:] += a[7] * kk1
     if a[8] != 0.0:
         x_k[1:] += a[8] * kk1
-    if ec is not None:
-        x_k += a[9] * (ec - 1.0)
+    if a[9] != 0.0:
+        x_k += a[9] * (spec.collapse.moments(n) - 1.0)
 
     system = CoefficientSystem(MatryoshkanMatrix._own(coef[:, 1:]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)

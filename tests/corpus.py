@@ -4,7 +4,8 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/corpus.py
 
-It prints one ``<layer> <digest>`` line for each of ``transient_vector``,
+It prints one ``<layer> <digest>`` line for each of ``build`` (the matrix,
+shift and initial powers ``build`` returns), ``transient_vector``,
 ``grading`` (the exponents ``engine._grading`` returns inside those calls),
 ``steady_vector``, ``solve_lower``, ``simulate`` and ``cli``.  Two trees that
 print the same digest for a layer give that layer's outputs bit for bit on
@@ -108,9 +109,13 @@ def _numeric_layers(layers: dict) -> None:
         for label, spec, n, times in CASES:
             built = _outcome(lambda: mk.build(spec, n))
             if isinstance(built, BaseException):
+                layers["build"].add(label, built)
                 layers["transient_vector"].add(label, built)
                 continue
             system, init = built
+            for part, array in (("theta", system.theta.dense()), ("theta0", system.theta0),
+                                ("powers", init.powers)):
+                layers["build"].add(f"{label}:{part}", array)
             for t in times:
                 result = _outcome(lambda: mk.transient_vector(system, init, t).values)
                 layers["transient_vector"].add(f"{label}:t={t!r}", result)
@@ -149,7 +154,7 @@ def _cli_layer(digest: _Digest) -> None:
 
 
 def main() -> int:
-    names = ("transient_vector", "grading", "steady_vector", "solve_lower", "simulate", "cli")
+    names = ("build", "transient_vector", "grading", "steady_vector", "solve_lower", "simulate", "cli")
     layers = {name: _Digest() for name in names}
     _numeric_layers(layers)
     _simulate_layer(layers["simulate"])

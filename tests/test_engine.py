@@ -454,7 +454,9 @@ def test_validate_never_raises_on_coincident_diagonals():
 def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
     # every benchmark family at n in {10, 30, 60, 100} and t in {0.01, ..., 50},
     # anchor cells included, the zero and repeated diagonals, and the sweep's
-    # generic draws
+    # generic draws; hawkes (1, 1, 2) at t = 1 holds each chain row k at
+    # -log k, exactly the log(t/(p+1)) of the row before it
+    assert ("hawkes:n=10", 1.0) in {(label, t) for label, _, _, times in CASES for t in times}
     real, wrong, graded = mk.engine._grading, [], []
 
     def spy(A, v, t):
@@ -484,5 +486,15 @@ def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
                     outcomes.append(exc.index)
         if outcomes[0] != outcomes[1]:
             wrong.append(f"solve_lower {label}")
+    # an augmented generator whose logarithms meet every edge: -0.0, a
+    # subnormal and 1e300 below the diagonal, and exact zeros in v
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0, x0=1.5), 12)
+    A = np.zeros((13, 13))
+    A[1:, 0], A[1:, 1:] = system.theta0, system.theta.dense()
+    A[3, 1], A[6, 2], A[9, 4] = -0.0, 5e-324, 1e300
+    v = np.concatenate(([1.0], init.powers))
+    v[[2, 5]] = 0.0, -0.0
+    for t in (0.01, 0.1, 1.0, 5.0, 50.0):
+        spy(A, v, t)
     assert wrong == []
     assert len(graded) >= 200

@@ -12,13 +12,56 @@ from matryoshkan import cli, core, engine, errors, euler, mc, processes
 SRC = Path(matryoshkan.__file__).resolve().parents[1]
 
 
+LAZY = ["BenchRecord", "EulerConfig", "MomentEstimate", "SimConfig", "bench", "error_metrics",
+        "estimate_moments", "euler_solve", "simulate"]
+
+
+def _fresh(code: str) -> str:
+    """Standard output of code run in a new interpreter that imports the package from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout
+
+
 def test_import_loads_numpy_only():
     # numpy is the only runtime dependency; scipy and mpmath serve tests and
     # benchmarks alone
     code = "import sys, matryoshkan; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code).strip() == "[]"
+
+
+LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('matryoshkan.')))"
+HAWKES = ["--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2", "--order", "3"]
+
+
+@pytest.mark.parametrize("argv", [["moments", *HAWKES, "--time", "1"], ["steady", *HAWKES]], ids=["moments", "steady"])
+def test_commands_and_import_leave_euler_and_mc_unloaded(argv):
+    run = (f"import runpy, sys; sys.argv = {['matryoshkan', *argv]!r}\n"
+           "try:\n    runpy.run_module('matryoshkan', run_name='__main__', alter_sys=True)\n"
+           "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n")
+    cli_loaded = _fresh(run + LOADED).splitlines()[-1]
+    assert "matryoshkan.cli" in cli_loaded
+    for loaded in (cli_loaded, _fresh("import matryoshkan; " + LOADED)):
+        assert "matryoshkan.euler" not in loaded and "matryoshkan.mc" not in loaded
+
+
+def test_lazy_names_resolve_on_first_use():
+    code = (
+        "import matryoshkan\n"
+        "from matryoshkan import simulate, EulerConfig\n"
+        f"lazy = {LAZY!r}\n"
+        "star = {}\n"
+        "exec('from matryoshkan import *', star)\n"
+        "print(all(hasattr(matryoshkan, n) for n in lazy), set(lazy) <= set(dir(matryoshkan)),"
+        " set(lazy) <= set(star), simulate.__module__, EulerConfig.__module__)\n"
+        "try:\n    matryoshkan.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)\n"
+    )
+    assert _fresh(code).splitlines() == [
+        "True True True matryoshkan.mc matryoshkan.euler",
+        "module 'matryoshkan' has no attribute 'no_such_name'",
+    ]
+    assert sorted(set(LAZY) & set(matryoshkan.__all__)) == LAZY
 
 
 @pytest.mark.parametrize("module", [matryoshkan, cli, core, engine, errors, euler, mc, processes])

@@ -532,6 +532,31 @@ def test_build_nests_bit_for_bit(name):
         assert prefix[2].tobytes() == small_init.powers.tobytes(), k
 
 
+# the shared Pascal buffer before any build: an order-0 Pascal matrix beside
+# the order-1 index table
+_EMPTY_BUFFER = (np.empty((0, 0)), np.zeros((1, 1), dtype=np.intp))
+
+
+def test_small_builds_read_the_same_bits_after_a_larger_one(monkeypatch):
+    # the Pascal matrix and the index table i - j grow together, so a small
+    # build reads leading blocks of whatever larger pair an earlier call left
+    specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.EphemeralSpec(1.0, 2.0, 3.0)]
+
+    def small():
+        pascals = (mk.pascal_matryoshkan(10, 0.5), mk.pascal_lower(10, 0.5))
+        return [_bits(mk.build(spec, 10)) for spec in specs] + [m.packed.tobytes() for m in pascals]
+
+    monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", _EMPTY_BUFFER)
+    fresh = small()
+    assert [a.shape for a in mk.processes._PASCAL_BUFFER] == [(10, 10), (11, 11)]
+    mk.build(specs[1], 100)
+    assert small() == fresh
+    for table in mk.processes._PASCAL_BUFFER:
+        assert table.shape[0] >= 100 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[-1, 0] = 0
+
+
 def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
     # threads that regrow the module's Pascal buffer together must each read
     # a complete leading block of the order they asked for
@@ -539,7 +564,7 @@ def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
     orders = [100, 12, 57, 80, 3, 64, 99, 40]
     expected = {(i, n): _bits(mk.build(spec, n)) for i, spec in enumerate(specs) for n in orders}
     for attempt in range(20):
-        monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", np.empty((0, 0)))
+        monkeypatch.setattr(mk.processes, "_PASCAL_BUFFER", _EMPTY_BUFFER)
         results, errors = {}, []
 
         def work(i, n):
