@@ -74,16 +74,21 @@ def euler_solve(
                 break
         s = np.array([x])
     else:
-        T = system.theta.dense()
+        # bound once, with the step held as a vector so the multiply converts
+        # no Python float: the per-step cost is four numpy calls in the
+        # order gemv, + c, * h, s += r
+        dot, add, multiply = system.theta.dense().dot, np.add, np.multiply
         c = system.theta0
+        hv = np.full(n, h)
         r = np.empty(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                np.dot(T, s, out=r)
-                r += c
-                r *= h
-                s += r
-                if (k & (_CHECK_EVERY - 1)) == 0 and _overflow_order(s) is not None:
+            for start in range(0, steps, _CHECK_EVERY):
+                for _ in range(min(_CHECK_EVERY, steps - start)):
+                    dot(s, r)
+                    add(r, c, r)
+                    multiply(r, hv, r)
+                    add(s, r, s)
+                if _overflow_order(s) is not None:
                     break
     # one overflowed order turns every order to NaN through T s, so name none
     if _overflow_order(s) is not None:

@@ -126,20 +126,29 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
     kinds = ((g.up, np.add, a[:2]), (g.down, np.subtract, a[2:4]), (g.collapse, np.multiply, a[9:]))
     events = [(k, law, act) for k, (law, act, rates) in enumerate(kinds) if any(rates)]
 
+    # the up and down rates are lo + hi x, one row each
+    lo, hi = np.array([[a[0]], [a[2]]]), np.array([[a[1]], [a[3]]])
+
     def flow(x, s):
         if a[5] == 0.0:
             return x + a[4] * s
         a5s = a[5] * s
         return x * np.exp(a5s) + a[4] * np.expm1(a5s) / a[5]
 
-    def edges(x):
+    def edges(x, pieces=1):
         """Cumulative up, down and collapse rates at states x: event k owns
         the slice [edges[k-1], edges[k]) of the total rate edges[2]."""
-        up, down = a[0] + a[1] * x, a[2] + a[3] * x
-        if (up < 0.0).any() or (down < 0.0).any():
-            state = x[np.argmin(np.minimum(up, down))]
-            raise InvalidInput(f"negative jump rate reached at state {float(state)!r}")
-        return up, up + down, up + down + a[9]
+        rates = hi * x
+        rates += lo
+        # the minimum skips NaN, as a comparison does
+        if np.fmin.reduce(rates, axis=None, initial=math.inf) < 0.0:
+            # name a state of the first of the equal parts of x that has one
+            for part, r in zip(np.split(x, pieces), np.split(rates, pieces, axis=1)):
+                if (r < 0.0).any():
+                    state = part[np.argmin(np.minimum(r[0], r[1]))]
+                    raise InvalidInput(f"negative jump rate reached at state {float(state)!r}")
+        up_down = rates[0] + rates[1]
+        return rates[0], up_down, up_down + a[9]
 
     def run(rng: np.random.Generator, m: int) -> np.ndarray:
         out = np.empty(m)
@@ -148,25 +157,31 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         with np.errstate(all="ignore"):
             while live.size:
                 window = horizon - t
-                x_end = flow(x, window)
-                bound = np.maximum(edges(x)[2], edges(x_end)[2])
+                # the rates at both ends of the window, one call on (x, x_end)
+                ends = np.concatenate((x, flow(x, window)))
+                total = edges(ends, 2)[2]
+                bound = np.maximum(total[: live.size], total[live.size :])
                 s = rng.standard_exponential(live.size) / bound
                 peak = float(bound.max())
                 if not math.isfinite(peak):
                     raise _overflow("jump-rate bound")
                 _check_steps("expected thinning proposals", peak * horizon)
-                done = ~(s < window)
-                out[live[done]] = x_end[done]
-                go = ~done
+                # every live path's value at the horizon, rewritten until its
+                # next proposal falls past the horizon
+                out[live] = ends[live.size :]
+                go = (s < window).nonzero()[0]
                 live, s, bound = live[go], s[go], bound[go]
                 x, t = flow(x[go], s), t[go] + s
                 # past the last slice (kind 3) the proposal is a thinning rejection
                 u = rng.random(live.size) * bound
-                kind = (u >= np.array(edges(x))).sum(axis=0)
+                up, up_down, total = edges(x)
+                kind = (u >= up).view(np.int8)
+                kind += u >= up_down
+                kind += u >= total
                 for k, jumps, act in events:
-                    hit = kind == k
-                    if hit.any():
-                        x[hit] = act(x[hit], jumps.sample(rng, int(hit.sum())))
+                    hit = (kind == k).nonzero()[0]
+                    if hit.size:
+                        x[hit] = act(x[hit], jumps.sample(rng, hit.size))
         return out
 
     return run
@@ -205,11 +220,23 @@ def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
     expo = spec.gamma / 2.0
 
     def euler(rng: np.random.Generator, m: int) -> np.ndarray:
-        s = np.full(m, x0)
+        """s += (mu + theta s) dt + vol (sqdt z), each step in place."""
+        s, z, vol, drift = np.full(m, x0), np.empty(m), np.empty(m), np.empty(m)
         for _ in range(steps):
-            z = rng.standard_normal(m)
-            vol = sigma * s if expo == 1.0 else sigma * np.maximum(s, 0.0) ** expo
-            s += (mu + theta * s) * dt + vol * (sqdt * z)
+            rng.standard_normal(out=z)
+            z *= sqdt
+            if expo == 1.0:
+                np.multiply(s, sigma, out=vol)
+            else:
+                np.maximum(s, 0.0, out=vol)
+                vol **= expo
+                vol *= sigma
+            vol *= z
+            np.multiply(s, theta, out=drift)
+            drift += mu
+            drift *= dt
+            drift += vol
+            s += drift
         return s
 
     return euler

@@ -9,7 +9,9 @@ Python loop iteration per moment order, as the library once did.
 `reference_inverse` and `reference_eigendecompose` are the two row loops the
 library once wrote out separately and now shares.  `reference_grading` and
 `reference_solve_lower` are the grading and forward-substitution loops the
-engine and core ran before their rows lost their per-call numpy overhead.
+engine and core ran before their rows lost their per-call numpy overhead;
+`reference_euler_solve` and `reference_thinning_kernel` are the Euler loop
+and the thinning kernel before their steps and iterations lost theirs.
 This module holds no tests.
 """
 
@@ -17,8 +19,8 @@ import math
 
 import numpy as np
 
-from matryoshkan.core import MatryoshkanMatrix
-from matryoshkan.engine import CoefficientSystem, InitialMomentVector
+from matryoshkan.core import MatryoshkanMatrix, _check_steps, _overflow, _overflow_order
+from matryoshkan.engine import CoefficientSystem, InitialMomentVector, MomentVector
 from matryoshkan.errors import InvalidInput, SingularMatrix, UnsupportedGamma
 from matryoshkan.processes import binomial_row
 
@@ -300,6 +302,81 @@ def reference_solve_lower(m: MatryoshkanMatrix, rhs: np.ndarray) -> np.ndarray:
             raise SingularMatrix(i + 1)
         x[i] = (b[i] - np.dot(L[i, :i], x[:i])) / d[i]
     return x
+
+
+def reference_euler_solve(system: CoefficientSystem, init: InitialMomentVector, cfg) -> MomentVector:
+    """s <- s + step (T s + c) for orders >= 2, four numpy calls per step on
+    the step as a Python float, and a range check after every 1,024th."""
+    s = init.powers.copy()
+    T, c = system.theta.dense(), system.theta0
+    r = np.empty(system.order)
+    h = float(cfg.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.steps):
+            np.dot(T, s, out=r)
+            r += c
+            r *= h
+            s += r
+            if (k & 1023) == 0 and _overflow_order(s) is not None:
+                break
+    if _overflow_order(s) is not None:
+        raise _overflow("Euler iteration")
+    return MomentVector(s)
+
+
+def reference_thinning_kernel(g, horizon: float):
+    """The block kernel of thinning with three rate evaluations per
+    iteration, each with its own sign checks, and the event kind from a
+    stacked comparison."""
+    a = g.coeffs
+    if a[6] != 0.0 or a[7] != 0.0 or a[8] != 0.0:
+        raise InvalidInput("generic simulation does not support diffusion terms")
+    if a[9] < 0.0:
+        raise InvalidInput(f"negative collapse rate {a[9]!r}")
+    kinds = ((g.up, np.add, a[:2]), (g.down, np.subtract, a[2:4]), (g.collapse, np.multiply, a[9:]))
+    events = [(k, law, act) for k, (law, act, rates) in enumerate(kinds) if any(rates)]
+
+    def flow(x, s):
+        if a[5] == 0.0:
+            return x + a[4] * s
+        a5s = a[5] * s
+        return x * np.exp(a5s) + a[4] * np.expm1(a5s) / a[5]
+
+    def edges(x):
+        up, down = a[0] + a[1] * x, a[2] + a[3] * x
+        if (up < 0.0).any() or (down < 0.0).any():
+            state = x[np.argmin(np.minimum(up, down))]
+            raise InvalidInput(f"negative jump rate reached at state {float(state)!r}")
+        return up, up + down, up + down + a[9]
+
+    def run(rng: np.random.Generator, m: int) -> np.ndarray:
+        out = np.empty(m)
+        live = np.arange(m)
+        x, t = np.full(m, float(g.x0)), np.zeros(m)
+        with np.errstate(all="ignore"):
+            while live.size:
+                window = horizon - t
+                x_end = flow(x, window)
+                bound = np.maximum(edges(x)[2], edges(x_end)[2])
+                s = rng.standard_exponential(live.size) / bound
+                peak = float(bound.max())
+                if not math.isfinite(peak):
+                    raise _overflow("jump-rate bound")
+                _check_steps("expected thinning proposals", peak * horizon)
+                done = ~(s < window)
+                out[live[done]] = x_end[done]
+                go = ~done
+                live, s, bound = live[go], s[go], bound[go]
+                x, t = flow(x[go], s), t[go] + s
+                u = rng.random(live.size) * bound
+                kind = (u >= np.array(edges(x))).sum(axis=0)
+                for k, jumps, act in events:
+                    hit = kind == k
+                    if hit.any():
+                        x[hit] = act(x[hit], jumps.sample(rng, int(hit.sum())))
+        return out
+
+    return run
 
 
 def reference_build(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:

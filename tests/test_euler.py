@@ -9,6 +9,7 @@ from matryoshkan import euler
 from matryoshkan.errors import InvalidInput, Overflow
 
 from conftest import FIXTURES, build_fixture
+from reference_builders import reference_euler_solve
 
 
 def test_hand_iteration():
@@ -88,6 +89,42 @@ def test_overflow_on_unstable_step():
     init = mk.InitialMomentVector.from_state(1.0, 1)
     with pytest.raises(Overflow, match="Euler iteration"):
         mk.euler_solve(scalar, init, mk.EulerConfig(step=1.0, horizon=1e6))
+
+
+def _stepped_bytes(solve, system, init, cfg):
+    """The stepped values' bytes, or the refusal's type and message."""
+    try:
+        return solve(system, init, cfg).values.tobytes()
+    except Overflow as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 101])
+def test_stepping_is_bit_identical_to_the_reference_loop(n):
+    # seeded random lower-triangular systems, run across the 1,024-step range
+    # checks and through the overflow exit, against the loop that held the
+    # step as a Python float
+    rng = np.random.default_rng(n)
+    for steps in (1, 1023, 1024, 1025, 2500):
+        T = np.tril(rng.standard_normal((n, n))) / n
+        system = mk.CoefficientSystem(mk.MatryoshkanMatrix(T), rng.standard_normal(n))
+        init = mk.InitialMomentVector(rng.standard_normal(n))
+        cfg = mk.EulerConfig(step=1e-3, horizon=steps * 1e-3)
+        assert cfg.steps == steps
+        stepped = _stepped_bytes(mk.euler_solve, system, init, cfg)
+        assert isinstance(stepped, bytes)
+        assert stepped == _stepped_bytes(reference_euler_solve, system, init, cfg)
+    # a diagonal of +50 at step 1e-2 grows by 1.5 per step and leaves the
+    # double range after about 1,750 steps; +1e3 at step 1 after about 100
+    for diagonal, step, horizon in ((50.0, 1e-2, 30.0), (1e3, 1.0, 3000.0), (1e3, 1.0, 150.0)):
+        T = np.tril(rng.standard_normal((n, n))) / n
+        np.fill_diagonal(T, diagonal)
+        system = mk.CoefficientSystem(mk.MatryoshkanMatrix(T), rng.standard_normal(n))
+        init = mk.InitialMomentVector(rng.random(n) + 1.0)
+        cfg = mk.EulerConfig(step=step, horizon=horizon)
+        stepped = _stepped_bytes(mk.euler_solve, system, init, cfg)
+        assert stepped == "Overflow: Euler iteration leaves the double range"
+        assert stepped == _stepped_bytes(reference_euler_solve, system, init, cfg)
 
 
 def test_stable_run_past_1e300_returns_finite_values():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
-from matryoshkan.errors import EstimatePrecisionWarning, InvalidInput, Overflow
+from matryoshkan import mc
+from matryoshkan.errors import EstimatePrecisionWarning, InvalidInput, MatryoshkanError, Overflow
 
 from conftest import build_fixture
+from corpus import THINNING_REFUSALS, THINNING_SPECS
+from reference_builders import reference_thinning_kernel
 
 
 def within_se(estimate, truth, k=4.0):
@@ -184,6 +187,41 @@ def test_generic_simulation_rejects_negative_rates():
     collapsing = mk.GenericGeneratorSpec((0.0,) * 9 + (-0.5,), collapse=mk.UniformJumps())
     with pytest.raises(InvalidInput, match=r"^negative collapse rate -0\.5$"):
         mk.simulate(collapsing, mk.SimConfig(paths=10, horizon=1.0, seed=0))
+
+
+@pytest.mark.parametrize("name", list(THINNING_SPECS))
+def test_thinning_is_bit_identical_to_the_reference_kernel(name, monkeypatch):
+    # one block at 3,000 paths and two at 5,000: the same draws in the same
+    # order and sizes give the same terminal values, bit for bit
+    spec = THINNING_SPECS[name]
+    cfgs = [mk.SimConfig(paths=paths, horizon=1.0, seed=seed)
+            for paths in (3000, 5000) for seed in range(1, 21)]
+    kernel = [mk.simulate(spec, cfg).tobytes() for cfg in cfgs]
+    monkeypatch.setattr(mc, "_thinning_kernel", reference_thinning_kernel)
+    assert [mk.simulate(spec, cfg).tobytes() for cfg in cfgs] == kernel
+
+
+def test_thinning_refusals_match_the_reference_kernel(monkeypatch):
+    kernels = (mc._thinning_kernel, reference_thinning_kernel)
+    refusals = {}
+    for name, (spec, horizon) in THINNING_REFUSALS.items():
+        cfg = mk.SimConfig(paths=5000, horizon=horizon, seed=3)
+        outcomes = []
+        for kernel in kernels:
+            monkeypatch.setattr(mc, "_thinning_kernel", kernel)
+            with pytest.raises(MatryoshkanError) as info:
+                mk.simulate(spec, cfg)
+            outcomes.append(f"{type(info.value).__name__}: {info.value}")
+        assert outcomes[0] == outcomes[1], name
+        refusals[name] = outcomes[0]
+    assert refusals == {
+        "negative rate at the start": "InvalidInput: negative jump rate reached at state 0.0",
+        "negative rate first at the window's end": "InvalidInput: negative jump rate reached at state -2.0",
+        "negative rate after a down jump": "InvalidInput: negative jump rate reached at state -0.5",
+        "negative collapse rate": "InvalidInput: negative collapse rate -0.5",
+        "non-finite bound": "Overflow: jump-rate bound leaves the double range",
+        "proposal limit": "InvalidInput: 2e+09 expected thinning proposals per path exceed the limit of 1e+09",
+    }
 
 
 def test_simulate_rejects_unsupported_objects():
