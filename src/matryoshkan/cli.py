@@ -9,7 +9,11 @@ coefficient tuple.  Whatever is omitted takes the record's own default.
 Documents go to standard output as JSON ({"metadata": ..., "payload": ...})
 or CSV with fixed schemas; diagnostics go to standard error, one line per
 library warning or error.  Exit codes:
-0 success, 2 invalid parameters, 3 Overflow (moments left the double range).
+0 success, 2 invalid parameters (a size that cannot be allocated among them),
+3 Overflow (moments left the double range).
+
+``run`` is the process entry of ``python -m matryoshkan`` and of the
+``matryoshkan`` script; ``main`` is the same command called in process.
 
 Floats are serialized with repr, which round-trips exactly (up to 17
 significant digits), so re-parsing and re-emitting a document is a byte
@@ -20,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import warnings
 
 from . import __version__, engine, processes
-from .core import _integer, _real
+from .core import _MAX_ENTRIES, _MAX_ORDER, _integer, _real
 from .errors import InvalidInput, MatryoshkanError, Overflow
 
 # --process name -> (parameter record, required --params key -> record field,
@@ -52,6 +57,18 @@ class _CLIError(MatryoshkanError):
     """Invalid command-line input; the message names the offending flag."""
 
 
+def run() -> None:
+    """Run the command of ``sys.argv`` and exit the process with its code.
+
+    The heap is frozen first, so the two collections of interpreter
+    finalization skip numpy's objects and the library's; stdout and stderr
+    are still flushed, and the CLI makes no object with a finalizer.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -68,6 +85,12 @@ def main(argv=None) -> int:
         return 3
     except MatryoshkanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # simulate's arrays hold one entry per path; every other command's
+        # hold a system of order --order
+        flag = "--paths" if args.command == "simulate" else "--order"
+        print(f"error: {flag} must fit in memory, got {_flag_value(args, flag)}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return 0
@@ -230,7 +253,7 @@ def _metadata(args, params: dict[str, float], extra: dict) -> dict:
 
 
 def _dispatch(args) -> str:
-    _integer("--order", args.order, 1)
+    _integer("--order", args.order, 1, _MAX_ORDER)
     if args.command != "steady":
         _real("--time", args.time, 0)
     params = _parse_params(args.params)
@@ -239,7 +262,7 @@ def _dispatch(args) -> str:
     # euler and mc load only for the commands that run them
     if args.command == "simulate":
         from . import mc
-        _integer("--paths", args.paths, 2)
+        _integer("--paths", args.paths, 2, _MAX_ENTRIES)
         _real("--sim-step", args.sim_step, 0, above=True)
         cfg = mc.SimConfig(
             paths=args.paths, horizon=args.time, seed=args.seed, sim_step=args.sim_step
@@ -327,4 +350,4 @@ def _table(payload: list[dict]) -> str:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

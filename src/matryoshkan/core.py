@@ -93,6 +93,11 @@ _VECTOR_SQUARINGS = 3
 # The most Euler steps, Euler-Maruyama steps or expected thinning proposals a
 # path may take; a run past it would not end in any useful time.
 _MAX_STEPS = 1e9
+# The most float64 entries numpy can address in one array, and the largest
+# order whose augmented (n+1)-by-(n+1) system fits in them: a larger size is
+# an input error, not numpy's "array is too big".
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+_MAX_ORDER = math.isqrt(_MAX_ENTRIES) - 1
 
 
 def _bounded(what: str, x, low, high, above: bool, error):
@@ -142,7 +147,7 @@ def _reals(what: str, values) -> tuple[float, ...]:
 
 
 def _check_order(order) -> int:
-    return _integer("order", order, 1, error=InvalidDimension)
+    return _integer("order", order, 1, _MAX_ORDER, InvalidDimension)
 
 
 def _check_steps(what: str, count: float) -> None:

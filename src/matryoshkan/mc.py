@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_steps, _in_range, _integer, _overflow, _real
+from .core import _MAX_ENTRIES, _check_steps, _in_range, _integer, _overflow, _real
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -53,7 +53,7 @@ class SimConfig:
     sim_step: float = 1e-3
 
     def __post_init__(self):
-        object.__setattr__(self, "paths", _integer("paths", self.paths, 1))
+        object.__setattr__(self, "paths", _integer("paths", self.paths, 1, _MAX_ENTRIES))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         _real("horizon", self.horizon, 0)
         _real("sim_step", self.sim_step, 0, above=True)

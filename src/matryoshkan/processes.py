@@ -106,7 +106,9 @@ class JumpMoments:
         """E[J^k] for k = 1..n."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray | float:
+        """``size`` independent draws; a law whose every draw is the same
+        value may return that one float, which the simulators broadcast."""
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
 
 
@@ -132,7 +134,7 @@ class DeterministicJumps(JumpMoments):
         return _in_range("deterministic jump moment", out)
 
     def sample(self, rng, size):
-        return np.full(size, float(self.size))
+        return float(self.size)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import matryoshkan as mk
 from matryoshkan import cli
+from matryoshkan.core import _MAX_ORDER
 
 SRC = Path(mk.__file__).resolve().parents[1]
 
@@ -22,6 +24,9 @@ def run(capsys, *argv):
 
 
 HAWKES = ["--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2,x0=1"]
+# transient moments past the double range: exit 3
+OVERFLOW = ["moments", "--process", "ito", "--params", "mu=1,theta=1,sigma=1,gamma=1,x0=1",
+            "--order", "30", "--time", "50"]
 
 
 # Every family with a non-default x0 and each of its descriptor flags, next
@@ -496,11 +501,32 @@ def test_time_past_1e300_gives_the_stationary_moments(capsys):
             3,
             "error: Overflow: transition law at t = 1.0 leaves the double range\n",
         ),
+        # sizes past the address space, which the allocator refuses at once
+        (
+            ["moments", "--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2",
+             "--order", "10000000", "--time", "1"],
+            2,
+            "error: --order must fit in memory, got 10000000\n",
+        ),
+        (
+            ["steady", "--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2",
+             "--order", "10000000000"],
+            2,
+            f"error: --order must be <= {_MAX_ORDER}, got 10000000000\n",
+        ),
+        (
+            ["simulate", "--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2",
+             "--order", "2", "--time", "1", "--paths", "1000000000000000", "--seed", "1"],
+            2,
+            "error: --paths must fit in memory, got 1000000000000000\n",
+        ),
     ],
-    ids=["sigma-squared-overflows", "explicit-square-overflows", "sigma-squared-underflows"],
+    ids=["sigma-squared-overflows", "explicit-square-overflows", "sigma-squared-underflows",
+         "order-unallocatable", "order-unaddressable", "paths-unallocatable"],
 )
 def test_extreme_numeric_input_is_a_library_error(capsys, args, code, err):
-    # each once escaped as a raw OverflowError or ZeroDivisionError (exit 1)
+    # each once escaped as a raw OverflowError, ZeroDivisionError or numpy
+    # allocation error (exit 1)
     assert run(capsys, *args) == (code, "", err)
 
 
@@ -538,18 +564,41 @@ def test_runs_past_the_step_bound_exit_two_at_once(argv):
     assert lines[0].endswith("per path exceed the limit of 1e+09")
 
 
-def test_module_entry_point_matches_main(capsys):
+def test_module_entry_point_matches_main(capsys, monkeypatch):
+    # --help wraps to the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for argv, expected_code in (
         (["moments", *HAWKES, "--order", "3", "--time", "1.5", "--format", "json"], 0),
+        (["--help"], 0),
         (["moments", *HAWKES, "--order", "0", "--time", "1"], 2),
+        (OVERFLOW, 3),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "matryoshkan", *argv], env=env, capture_output=True, text=True, timeout=60
         )
-        code, out, _ = run(capsys, *argv)
-        assert proc.returncode == code == expected_code
-        assert proc.stdout == out
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == expected_code
+    assert err == "error: Overflow: transient flow leaves the double range\n"
+
+
+def test_run_freezes_the_heap_after_the_command(capsys, monkeypatch):
+    # the freeze is stubbed here, since a real one would keep this process's
+    # later cyclic garbage alive
+    frozen = []
+    monkeypatch.setattr(sys, "argv", ["matryoshkan", "moments", *HAWKES, "--order", "0", "--time", "1"])
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(capsys.readouterr().err))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2 and frozen == ["error: --order must be >= 1, got 0\n"]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["moments", *HAWKES, "--order", "3", "--time", "1"], OVERFLOW, ["--help"]):
+        run(capsys, *argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 def test_help_exits_zero(capsys):

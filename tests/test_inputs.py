@@ -5,6 +5,7 @@ with the parameter's name.  New cases are rows of ``_TABLE``."""
 import math
 
 import matryoshkan as mk
+from matryoshkan.core import _MAX_ENTRIES, _MAX_ORDER
 from matryoshkan.errors import InvalidDimension, InvalidInput, UnsupportedGamma
 
 
@@ -49,6 +50,9 @@ _TABLE = [
     ("order", lambda v: mk.InitialMomentVector.from_state(1.0, v), _bad_count(0, InvalidDimension)),
     ("order", lambda v: mk.pascal_matryoshkan(v, 1.0), _bad_count(0, InvalidDimension)),
     ("order", lambda v: mk.pascal_lower(v, 1.0), _bad_count(0, InvalidDimension)),
+    # sizes whose storage numpy cannot address
+    ("order", lambda v: mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), v), [(_MAX_ORDER + 1, InvalidDimension)]),
+    ("paths", lambda v: mk.SimConfig(v, 1.0, 1), [(_MAX_ENTRIES + 1, InvalidInput)]),
     ("n", lambda v: mk.transient_scalar(_SYSTEM, _INIT, 1.0, v), _bad_count(4)),
     ("n", lambda v: mk.steady_nth(_SYSTEM, v), _bad_count(0)),
     ("n", lambda v: mk.processes.binomial_row(v), _bad_count(-1)),

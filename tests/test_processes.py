@@ -132,6 +132,20 @@ def test_jump_moment_values():
         mk.JumpMoments().moments(2)
 
 
+def test_deterministic_sample_is_one_value_that_draws_nothing():
+    # the simulators broadcast the one value over the hit paths, as they
+    # would an array of it
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for size in (0, 1, 5):
+        draw = mk.DeterministicJumps(1.5).sample(rng, size)
+        assert type(draw) is float
+        x = np.linspace(0.0, 2.0, size)
+        for act in (np.add, np.subtract, np.multiply):
+            assert act(x, draw).tobytes() == act(x, np.full(size, 1.5)).tobytes()
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("location, scale", [(0.2, 0.9), (-0.25, 0.6), (-0.5, 0.2), (0.1, 0.7)])
 def test_lognormal_moments_are_within_an_ulp(location, scale):
     # against 60-digit mpmath over every finite order <= 200; rounding the
