@@ -54,7 +54,6 @@ from .processes import (
     ShotNoiseSpec,
     UniformJumps,
     build,
-    ito_gamma_bounds,
     pascal_lower,
     pascal_matryoshkan,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "MomentSequenceWarning", "MomentVector", "NonStationary", "Overflow", "ShotNoiseSpec",
     "SimConfig", "SingularMatrix", "UniformJumps", "UnsupportedGamma", "ValidationReport", "add",
     "bench", "build", "eigendecompose", "error_metrics", "estimate_moments", "euler_solve",
-    "exp_scaled", "extend", "inverse", "ito_gamma_bounds", "multiply", "pascal_lower",
+    "exp_scaled", "extend", "inverse", "multiply", "pascal_lower",
     "pascal_matryoshkan", "power", "simulate", "solve_lower", "steady_nth", "steady_vector",
     "transient_scalar", "transient_vector", "validate",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_ENTRIES, _check_steps, _in_range, _integer, _overflow, _real
+from .core import _MAX_ENTRIES, _check_steps, _integer, _overflow, _real
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -96,11 +96,14 @@ def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     max_order = _integer("max_order", max_order, 1)
     pairs = []
     root_n = math.sqrt(values.size)
-    for k in range(1, max_order + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # the first order that overflows ends the run before any warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_order + 1):
             powers = values**k
-            pairs.append((float(powers.mean()), float(powers.std(ddof=1) / root_n)))
-    _in_range("sample moment estimate", np.array(pairs))
+            mean, se = float(powers.mean()), float(powers.std(ddof=1) / root_n)
+            if not (math.isfinite(mean) and math.isfinite(se)):
+                raise _overflow("sample moment estimate", k)
+            pairs.append((mean, se))
     out = []
     for k, (mean, se) in enumerate(pairs, start=1):
         if mean != 0.0 and se > 0.2 * abs(mean):

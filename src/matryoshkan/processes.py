@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "LogNormalJumps",
     "ShotNoiseSpec",
     "UniformJumps",
-    "binomial_row",
     "build",
-    "ito_gamma_bounds",
     "pascal_lower",
     "pascal_matryoshkan",
 ]
@@ -51,14 +49,6 @@ __all__ = [
 # diagonal, where a Pascal entry times a^0 or E[J^0] = 1 stays an exact +0.0.
 # Leading blocks serve every smaller order, so the read-only pair only grows.
 _PASCAL_BUFFER = (np.empty((0, 0)), np.zeros((1, 1), dtype=np.intp))
-
-
-def binomial_row(n: int) -> np.ndarray:
-    """Row n of Pascal's triangle, C(n, 0..n), by the additive recurrence."""
-    n = _integer("n", n, 0)
-    # the last row of the order-n block, C(n, 0..n-1), flattened by append
-    # (empty at n = 0)
-    return np.append(_tables(n)[0][n - 1 :], 1.0)
 
 
 def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +305,9 @@ class ShotNoiseSpec:
 class ItoSpec:
     """Diffusion with drift mu + theta*x and volatility sigma * x^(gamma/2).
 
-    gamma in {0, 1, 2} admits an exact moment system; fractional gamma in
-    [0, 2] is handled by ito_gamma_bounds only.
+    gamma in {0, 1, 2} admits an exact moment system.  A fractional gamma
+    puts x^(k-2+gamma) into the generator of x^k, so it has none: ``build``
+    raises UnsupportedGamma, and the spec can only be simulated.
     """
 
     mu: float
@@ -337,7 +328,7 @@ class ItoSpec:
         if self.gamma not in (0.0, 1.0, 2.0):
             raise UnsupportedGamma(
                 f"exact systems need gamma in {{0, 1, 2}}, got {self.gamma};"
-                " use ito_gamma_bounds for fractional gamma"
+                " fractional gamma can only be simulated"
             )
         diffusion = [0.0, 0.0, 0.0]
         diffusion[int(self.gamma)] = _real("sigma**2 / 2", _squared(float(self.sigma)) / 2)
@@ -534,18 +525,3 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     system = CoefficientSystem(MatryoshkanMatrix._own(coef[:, 1:]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)
 
-
-def ito_gamma_bounds(
-    spec: ItoSpec, n: int
-) -> tuple[CoefficientSystem, CoefficientSystem]:
-    """Exact systems with gamma replaced by floor(gamma) and ceil(gamma).
-
-    Solving both brackets the true moment of a fractional-gamma diffusion,
-    provided power monotonicity holds along paths (state >= 1); the bound
-    ordering reverses on states below 1.
-    """
-    lo = replace(spec, gamma=float(math.floor(spec.gamma)))
-    hi = replace(spec, gamma=float(math.ceil(spec.gamma)))
-    lower, _ = build(lo, n)
-    upper, _ = build(hi, n)
-    return lower, upper

@@ -22,7 +22,7 @@ import numpy as np
 from matryoshkan.core import MatryoshkanMatrix, _check_steps, _overflow, _overflow_order
 from matryoshkan.engine import CoefficientSystem, InitialMomentVector, MomentVector
 from matryoshkan.errors import InvalidInput, SingularMatrix, UnsupportedGamma
-from matryoshkan.processes import binomial_row
+from matryoshkan.processes import pascal_lower
 
 
 def _lower(rows: list[np.ndarray]) -> MatryoshkanMatrix:
@@ -55,7 +55,7 @@ def build_hawkes(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
     rows = []
     for k in range(1, n + 1):
         kf = float(k)
-        b = binomial_row(k)
+        b = pascal_lower(k + 1, 1.0).dense()[k]
         row = b[:k] * np.power(spec.alpha, np.arange(k, 0, -1, dtype=np.float64))
         if k >= 2:
             row[k - 2] += blam * kf
@@ -78,7 +78,7 @@ def build_shot_noise(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVect
     rows = []
     theta0 = np.empty(n)
     for k in range(1, n + 1):
-        b = binomial_row(k)
+        b = pascal_lower(k + 1, 1.0).dense()[k]
         coef = spec.rate * b[:k] * jm[k:0:-1]
         theta0[k - 1] = coef[0]
         row = np.empty(k)
@@ -100,7 +100,7 @@ def build_ito(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
     if spec.gamma not in (0.0, 1.0, 2.0):
         raise UnsupportedGamma(
             f"exact systems need gamma in {{0, 1, 2}}, got {spec.gamma};"
-            " use the bracketing builder for fractional gamma"
+            " fractional gamma can only be simulated"
         )
     g = int(spec.gamma)
     half = spec.sigma**2 / 2
@@ -161,7 +161,7 @@ def build_ephemeral(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVecto
     rows = []
     for k in range(1, n + 1):
         kf = float(k)
-        b = binomial_row(k)
+        b = pascal_lower(k + 1, 1.0).dense()[k]
         row = np.empty(k)
         for i in range(1, k):
             val = spec.baseline * b[i] + spec.jump * b[i - 1]
@@ -208,7 +208,7 @@ def reference_generic_build(spec, n: int) -> tuple[CoefficientSystem, InitialMom
         kf = float(k)
         coef = np.zeros(k + 1)
         if need_up or need_down:
-            b = binomial_row(k)[:k]
+            b = pascal_lower(k + 1, 1.0).dense()[k, :k]
         if need_up:
             up = ea[k:0:-1]
             if a[0] != 0.0:

@@ -372,6 +372,15 @@ def test_exit_code_2_on_unstable_steady(capsys):
     assert code == 2 and "stationary" in err
 
 
+def test_fractional_gamma_simulates_only(capsys):
+    ito = ["--process", "ito", "--params", "mu=1,theta=-1,sigma=0.5,gamma=1.5,x0=1", "--order", "2"]
+    err = "error: exact systems need gamma in {0, 1, 2}, got 1.5; fractional gamma can only be simulated\n"
+    for argv in (["moments", *ito, "--time", "1"], ["steady", *ito]):
+        assert run(capsys, *argv) == (2, "", err)
+    code, out, err = run(capsys, "simulate", *ito, "--time", "1", "--paths", "200", "--seed", "1")
+    assert code == 0 and err == "" and len(json.loads(out)["payload"]) == 2
+
+
 def test_exit_code_3_on_numerical_failures(capsys):
     # Coincident, zero and all-zero diagonals solve: the augmented
     # exponential needs no distinct spectrum and no inverse.  Each payload

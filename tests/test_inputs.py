@@ -55,7 +55,6 @@ _TABLE = [
     ("paths", lambda v: mk.SimConfig(v, 1.0, 1), [(_MAX_ENTRIES + 1, InvalidInput)]),
     ("n", lambda v: mk.transient_scalar(_SYSTEM, _INIT, 1.0, v), _bad_count(4)),
     ("n", lambda v: mk.steady_nth(_SYSTEM, v), _bad_count(0)),
-    ("n", lambda v: mk.processes.binomial_row(v), _bad_count(-1)),
     ("k", lambda v: _M.leading(v), _bad_count(4, InvalidDimension)),
     ("k", lambda v: _SYSTEM.leading(v), _bad_count(0, InvalidDimension)),
     ("k", lambda v: mk.power(_M, v), _bad_count(-1, InvalidDimension)),

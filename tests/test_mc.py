@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_estimate_moments_raise_overflow_past_the_double_range():
     # and powers of 1e400 at order 2
     with pytest.raises(Overflow, match="order 2"):
         mk.estimate_moments([1e200, 1e200], 2)
+
+
+def test_estimate_moments_stop_at_the_first_order_that_overflows():
+    # a million orders would take seconds; the run ends where the range does,
+    # and a sample that would warn at order 6 raises without a warning
+    wide = np.random.default_rng(1).lognormal(0.0, 2.0, 50)
+    for sample, order in (([1e200, 1e200], 2), (wide, 84)):
+        start = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Overflow, match=f"^sample moment estimate of order {order} leaves"):
+                mk.estimate_moments(sample, 10**6)
+        assert time.perf_counter() - start < 1.0 and caught == []
 
 
 def test_estimate_moments_warns_on_wide_standard_error():

@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -28,10 +29,8 @@ from reference_builders import reference_build, reference_generic_build, systems
 
 def test_binomial_rows_exact_up_to_56():
     for n in (0, 1, 5, 23, 56):
-        row = mk.processes.binomial_row(n)
+        row = mk.pascal_lower(n + 1, 1.0).dense()[n]
         assert np.array_equal(row, [float(math.comb(n, k)) for k in range(n + 1)])
-    with pytest.raises(InvalidInput, match="n must be >= 0, got -1"):
-        mk.processes.binomial_row(-1)
 
 
 def test_pascal_matryoshkan_unit():
@@ -648,32 +647,17 @@ def test_generic_requires_needed_moments():
         mk.GenericGeneratorSpec(coeffs=(0.0,) * 9 + (1.0,))
 
 
-# -- fractional gamma bracketing --------------------------------------------------
-
-
-def test_gamma_bounds_integer_case_collapses():
-    spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=1.0, x0=1.0)
-    lower, upper = mk.ito_gamma_bounds(spec, 3)
-    direct, _ = mk.build(spec, 3)
-    assert np.array_equal(lower.theta.packed, direct.theta.packed)
-    assert np.array_equal(upper.theta.packed, direct.theta.packed)
-
-
-def test_gamma_bounds_fractional_pair():
-    spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=1.5, x0=1.0)
-    lower, upper = mk.ito_gamma_bounds(spec, 2)
-    lo_direct, _ = mk.build(mk.ItoSpec(1.0, -1.0, 0.5, 1.0, 1.0), 2)
-    hi_direct, _ = mk.build(mk.ItoSpec(1.0, -1.0, 0.5, 2.0, 1.0), 2)
-    assert np.array_equal(lower.theta.packed, lo_direct.theta.packed)
-    assert np.array_equal(upper.theta.packed, hi_direct.theta.packed)
+# -- fractional gamma ------------------------------------------------------------
 
 
 def test_gamma_bounds_bracket_simulated_moments():
-    # no exact system exists at gamma = 1.5; the discretized-diffusion
-    # estimate must fall between the floor and ceiling closed forms
+    # no exact system exists at gamma = 1.5; from x0 = 1, reverting toward 1,
+    # the discretized-diffusion estimate falls between the closed forms at
+    # gamma = 1 and gamma = 2 (on states below 1 their order reverses)
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=0.5, gamma=1.5, x0=1.0)
     n = 2
-    lower, upper = mk.ito_gamma_bounds(spec, n)
+    lower, _ = mk.build(replace(spec, gamma=1.0), n)
+    upper, _ = mk.build(replace(spec, gamma=2.0), n)
     init = mk.InitialMomentVector.from_state(spec.x0, n)
     cfg = mk.SimConfig(paths=40000, horizon=5.0, seed=71, sim_step=1e-3)
     terminals = mk.simulate(spec, cfg)
