@@ -4,59 +4,11 @@ baseline and an exact-simulation Monte Carlo cross-check."""
 
 import importlib
 
-from .core import (
-    EigenPair,
-    MatryoshkanMatrix,
-    add,
-    eigendecompose,
-    exp_scaled,
-    extend,
-    inverse,
-    multiply,
-    power,
-    solve_lower,
-)
-from .engine import (
-    CoefficientSystem,
-    InitialMomentVector,
-    MomentVector,
-    ValidationReport,
-    steady_nth,
-    steady_vector,
-    transient_scalar,
-    transient_vector,
-    validate,
-)
-from .errors import (
-    DegenerateSpectrum,
-    EstimatePrecisionWarning,
-    InsufficientMoments,
-    InvalidDimension,
-    InvalidInput,
-    MatryoshkanError,
-    MomentSequenceWarning,
-    NonStationary,
-    Overflow,
-    SingularMatrix,
-    UnsupportedGamma,
-)
-from .processes import (
-    DeterministicJumps,
-    EphemeralSpec,
-    ExplicitJumps,
-    ExponentialJumps,
-    GenericGeneratorSpec,
-    GrowthCollapseSpec,
-    HawkesSpec,
-    ItoSpec,
-    JumpMoments,
-    LogNormalJumps,
-    ShotNoiseSpec,
-    UniformJumps,
-    build,
-    pascal_lower,
-    pascal_matryoshkan,
-)
+from . import core, engine, errors, processes
+from .core import *
+from .engine import *
+from .errors import *
+from .processes import *
 
 __version__ = "0.1.0"
 
@@ -64,19 +16,7 @@ __version__ = "0.1.0"
 _LAZY = dict.fromkeys(("BenchRecord", "EulerConfig", "bench", "error_metrics", "euler_solve"), "euler")
 _LAZY.update(dict.fromkeys(("MomentEstimate", "SimConfig", "estimate_moments", "simulate"), "mc"))
 
-__all__ = [
-    "BenchRecord", "CoefficientSystem", "DegenerateSpectrum", "DeterministicJumps", "EigenPair",
-    "EphemeralSpec", "EstimatePrecisionWarning", "EulerConfig", "ExplicitJumps", "ExponentialJumps",
-    "GenericGeneratorSpec", "GrowthCollapseSpec", "HawkesSpec", "InitialMomentVector",
-    "InsufficientMoments", "InvalidDimension", "InvalidInput", "ItoSpec", "JumpMoments",
-    "LogNormalJumps", "MatryoshkanError", "MatryoshkanMatrix", "MomentEstimate",
-    "MomentSequenceWarning", "MomentVector", "NonStationary", "Overflow", "ShotNoiseSpec",
-    "SimConfig", "SingularMatrix", "UniformJumps", "UnsupportedGamma", "ValidationReport", "add",
-    "bench", "build", "eigendecompose", "error_metrics", "estimate_moments", "euler_solve",
-    "exp_scaled", "extend", "inverse", "multiply", "pascal_lower",
-    "pascal_matryoshkan", "power", "simulate", "solve_lower", "steady_nth", "steady_vector",
-    "transient_scalar", "transient_vector", "validate",
-]
+__all__ = [*core.__all__, *engine.__all__, *errors.__all__, *processes.__all__, *_LAZY]
 
 
 def __getattr__(name: str):

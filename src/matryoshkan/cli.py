@@ -308,7 +308,7 @@ def _parse_deltas(text: str) -> list[float]:
     except ValueError:
         raise _CLIError(f"--deltas: not a list of numbers: '{text}'")
     if not deltas:
-        raise _CLIError(f"--deltas: step sizes must be > 0: '{text}'")
+        raise _CLIError(f"--deltas: the list of step sizes is empty: '{text}'")
     return [_real("--deltas", d, 0, above=True) for d in deltas]
 
 

@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DISTINCT_RTOL",
     "EigenPair",
     "MatryoshkanMatrix",
     "add",

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "DegenerateSpectrum", "EstimatePrecisionWarning", "InsufficientMoments", "InvalidDimension",
+    "InvalidInput", "MatryoshkanError", "MomentSequenceWarning", "NonStationary", "Overflow",
+    "SingularMatrix", "UnsupportedGamma",
+]
+
 
 class MatryoshkanError(Exception):
     """Base class for all library-specific failures."""

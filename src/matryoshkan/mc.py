@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_ENTRIES, _check_steps, _integer, _overflow, _real
+from .core import _MAX_ENTRIES, _check_steps, _floats, _integer, _overflow, _real
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -90,7 +90,7 @@ def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
 def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     """Sample means of X^k, k = 1..max_order, with standard errors, in fixed
     path order."""
-    values = np.asarray(terminals, dtype=np.float64).reshape(-1)
+    values = _floats("terminals", terminals).reshape(-1)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
     max_order = _integer("max_order", max_order, 1)

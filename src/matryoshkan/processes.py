@@ -379,11 +379,10 @@ class EphemeralSpec:
         _real("baseline", self.baseline, 0, above=True)
         jump = _real("jump", self.jump, 0, above=True)
         _real("expiry", self.expiry, jump, above=True)
-        if _real("x0", self.x0) < 0 or int(self.x0) != self.x0:
-            raise InvalidInput(
-                f"initial count must be a nonnegative integer, got {self.x0}"
-            )
-        object.__setattr__(self, "x0", int(self.x0))
+        x0 = _real("x0", self.x0, 0)
+        if x0 != int(x0):
+            raise InvalidInput(f"x0 must be an integer, got {x0!r}")
+        object.__setattr__(self, "x0", int(x0))
 
     def generator(self) -> GenericGeneratorSpec:
         """Arrivals step up by one at rate baseline + jump x; expiries step

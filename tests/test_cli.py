@@ -294,8 +294,8 @@ def test_exit_code_2_on_parameter_errors(capsys):
     assert code == 2 and "expected key=value" in err
     code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", "1e-2,x")
     assert code == 2 and "--deltas" in err and "not a list of numbers" in err
-    code, _, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", ",")
-    assert code == 2 and "--deltas" in err
+    code, out, err = run(capsys, "bench", *HAWKES, "--order", "1", "--time", "1", "--deltas", ",")
+    assert code == 2 and out == "" and err == "error: --deltas: the list of step sizes is empty: ','\n"
     for descriptor, reason in (("lognormal:x,1", "malformed descriptor"), ("gamma:1", "unknown descriptor")):
         code, out, err = run(capsys, "moments", "--process", "shotnoise", "--params", "lambda=1,beta=4", "--jumps", descriptor, "--order", "1", "--time", "1")
         assert code == 2 and out == "" and f"--jumps: {reason} '{descriptor}'" in err

@@ -88,6 +88,7 @@ _TABLE = [
     ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3)),
     ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3)),
     ("values", lambda v: mk.MomentVector(v), _bad_array(3)),
+    ("terminals", lambda v: mk.estimate_moments(v, 2), _bad_array(3)),
     # record fields
     ("lambda_star", lambda v: mk.HawkesSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("alpha", lambda v: mk.HawkesSpec(1.0, v, 2.0), _bad_real(-1.0)),
@@ -107,8 +108,7 @@ _TABLE = [
     ("baseline", lambda v: mk.EphemeralSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("jump", lambda v: mk.EphemeralSpec(1.0, v, 2.0), _bad_real(0.0)),
     ("expiry", lambda v: mk.EphemeralSpec(1.0, 2.0, v), _bad_real(2.0)),
-    # x0's integrality check keeps its own wording, so only the rule's values
-    ("x0", lambda v: mk.EphemeralSpec(1.0, 1.0, 2.0, v), _bad_real()),
+    ("x0", lambda v: mk.EphemeralSpec(1.0, 1.0, 2.0, v), _bad_real(-1.0) + [(0.5, InvalidInput)]),
     ("coeffs[4]", lambda v: mk.GenericGeneratorSpec((0.0,) * 4 + (v,) + (0.0,) * 5), _bad_real()),
     ("coeffs[0]", lambda v: mk.GenericGeneratorSpec(v), [("0000500000", InvalidInput)]),
     ("coeffs", lambda v: mk.GenericGeneratorSpec(v), [(None, InvalidInput), (1.0, InvalidInput)]),

@@ -12,8 +12,7 @@ from matryoshkan import cli, core, engine, errors, euler, mc, processes
 SRC = Path(matryoshkan.__file__).resolve().parents[1]
 
 
-LAZY = ["BenchRecord", "EulerConfig", "MomentEstimate", "SimConfig", "bench", "error_metrics",
-        "estimate_moments", "euler_solve", "simulate"]
+LAZY = sorted([*euler.__all__, *mc.__all__])
 
 
 def _fresh(code: str) -> str:
@@ -62,6 +61,15 @@ def test_lazy_names_resolve_on_first_use():
         "module 'matryoshkan' has no attribute 'no_such_name'",
     ]
     assert sorted(set(LAZY) & set(matryoshkan.__all__)) == LAZY
+
+
+def test_each_public_name_is_declared_once():
+    # each module's __all__ is the one list of its names: the package
+    # concatenates the eager ones and maps the lazy ones to their module
+    assert matryoshkan.__all__ == [*core.__all__, *engine.__all__, *errors.__all__, *processes.__all__,
+                                   *matryoshkan._LAZY]
+    assert len(set(matryoshkan.__all__)) == len(matryoshkan.__all__)
+    assert matryoshkan._LAZY == {**dict.fromkeys(euler.__all__, "euler"), **dict.fromkeys(mc.__all__, "mc")}
 
 
 @pytest.mark.parametrize("module", [matryoshkan, cli, core, engine, errors, euler, mc, processes])

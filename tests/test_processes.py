@@ -245,8 +245,8 @@ _RANGE_ERRORS = {
     "EphemeralSpec.baseline": (lambda: mk.EphemeralSpec(0.0, 1.0, 2.0), InvalidInput, "baseline must be > 0"),
     "EphemeralSpec.jump": (lambda: mk.EphemeralSpec(1.0, 0.0, 2.0), InvalidInput, "jump must be > 0"),
     "EphemeralSpec.expiry": (lambda: mk.EphemeralSpec(1.0, 2.0, 2.0), InvalidInput, "expiry must be > 2.0"),
-    "EphemeralSpec.x0": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, -1), InvalidInput, "initial count must be a nonnegative"),
-    "EphemeralSpec.x0-fraction": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, 0.5), InvalidInput, "initial count must be a nonnegative"),
+    "EphemeralSpec.x0": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, -1), InvalidInput, "x0 must be >= 0, got -1.0"),
+    "EphemeralSpec.x0-fraction": (lambda: mk.EphemeralSpec(1.0, 1.0, 2.0, 0.5), InvalidInput, "x0 must be an integer, got 0.5"),
     "GenericGeneratorSpec.coeffs": (lambda: mk.GenericGeneratorSpec((1.0,) * 9), InvalidInput, "expected 10 generator coefficients"),
     "DeterministicJumps.size": (lambda: mk.DeterministicJumps(-1.0), InvalidInput, "size must be >= 0"),
     "ExponentialJumps.rate": (lambda: mk.ExponentialJumps(0.0), InvalidInput, "rate must be > 0"),
