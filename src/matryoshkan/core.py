@@ -15,13 +15,17 @@ a linear solve.  None of these needs a distinct spectrum.  A result that
 leaves the double range raises Overflow naming its first order.
 
 All values are immutable after construction and all operations are pure
-functions, so instances may be shared freely across threads.
+functions, so instances may be shared freely across threads.  The Taylor
+kernel reuses one scratch buffer per thread, grown to the largest workspace
+that thread has needed, so operations stay pure and thread-safe and no
+result is a view of it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +101,9 @@ _MAX_STEPS = 1e9
 # an input error, not numpy's "array is too big".
 _MAX_ENTRIES = np.iinfo(np.intp).max // 8
 _MAX_ORDER = math.isqrt(_MAX_ENTRIES) - 1
+# Each thread's Taylor workspace, kept for the thread's life: a buffer freed
+# after every call would come back from the OS as fresh pages on the next one.
+_SCRATCH = threading.local()
 
 
 def _bounded(what: str, x, low, high, above: bool, error):
@@ -154,10 +161,13 @@ def _check_steps(what: str, count: float) -> None:
         raise InvalidInput(f"{count:.3g} {what} per path exceed the limit of {_MAX_STEPS:.0e}")
 
 
-def _floats(what: str, values) -> np.ndarray:
-    """``values`` as float64, refusing strings and other non-numbers as ``_real`` does."""
+def _floats(what: str, values, nan: bool = True) -> np.ndarray:
+    """``values`` as float64, refusing strings and other non-numbers as
+    ``_real`` does, and NaN unless ``nan``: a NaN that enters a matrix or a
+    sample would read later as Overflow.  Infinities pass, for the range
+    checks to report."""
     a = np.asarray(values)
-    if a.dtype.kind not in "biuf":
+    if a.dtype.kind not in "biuf" or (not nan and np.isnan(a).any()):
         raise InvalidInput(f"{what} must be real numbers, got {values!r}")
     return a.astype(np.float64, copy=False)
 
@@ -181,7 +191,7 @@ class MatryoshkanMatrix:
     __slots__ = ("order", "_data")
 
     def __init__(self, array):
-        a = _floats("array", array)
+        a = _floats("array", array, nan=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
         _check_order(a.shape[0])
@@ -212,7 +222,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
-        d = _floats("values", values).reshape(-1)
+        d = _floats("values", values, nan=False).reshape(-1)
         _check_order(d.shape[0])
         return cls._own(np.diag(d))
 
@@ -318,24 +328,32 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     r = min(s, _VECTOR_SQUARINGS) squarings are 2^r products of e^{2^{-r} B}
     with the vector instead (Al-Mohy & Higham, SIMAX 33, 2011).  Powers of
     two keep the scaling exact.  Entries that leave the double range come
-    back non-finite.
+    back non-finite.  The stack, the chunk sums and a spare product live in
+    this thread's scratch buffer, which grows to the largest (p + q + 2) n^2
+    entries its thread has needed and holds whatever the last call left;
+    e^B comes back as a copy.
     """
     norm = float(np.abs(B).sum(axis=0).max())
     if not math.isfinite(norm):
         raise _overflow("generator times t")
     index, s = _taylor_degree(norm)
     coef = _TAYLOR_COEF[index]
-    p = coef.shape[1] - 1
+    q, p = coef.shape[0], coef.shape[1] - 1
     n = B.shape[0]
     idx = np.diag_indices(n)
-    powers = np.empty((p + 1, n, n))
+    size = (p + q + 2) * n * n
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _SCRATCH.buffer = np.empty(size)
+    work = buffer[:size].reshape(p + q + 2, n, n)
+    powers, chunks, spare = work[: p + 1], work[p + 1 : -1], work[-1]
     powers[0] = 0.0
     powers[0][idx] = 1.0
     np.ldexp(B, -s, out=powers[1])
     for j in range(2, p + 1):
         _tril_matmul(powers[j - 1], powers[1], powers[j])
-    chunks = (coef @ powers.reshape(p + 1, n * n)).reshape(-1, n, n)
-    R, spare = chunks[-1], np.empty((n, n))
+    np.matmul(coef, powers.reshape(p + 1, n * n), out=chunks.reshape(q, n * n))
+    R = chunks[-1]
     for chunk in chunks[-2::-1]:
         R, spare = _tril_matmul(R, powers[p], spare), R
         R += chunk
@@ -348,7 +366,7 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         R, spare = _tril_matmul(R, R, spare), R
         R[idx] = diagonal
     if w is None:
-        return R
+        return R.copy()
     for _ in range(1 << r):
         w = R @ w
     return w
@@ -436,7 +454,7 @@ def extend(
 
     With ``base=None`` and an empty row this is the order-1 base case.
     """
-    r, diag = _floats("row", row), float(_floats("diag", diag))
+    r, diag = _floats("row", row, nan=False), float(_floats("diag", diag, nan=False))
     if r.ndim != 1:
         raise InvalidDimension(f"row must be one-dimensional, got shape {r.shape}")
     if base is None:

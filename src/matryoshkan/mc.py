@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_ENTRIES, _check_steps, _floats, _integer, _overflow, _real
+from .core import _MAX_ENTRIES, _check_steps, _floats, _integer, _overflow, _overflow_order, _real
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -73,7 +73,8 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
-    """Terminal values of cfg.paths independent paths at cfg.horizon."""
+    """Terminal values of cfg.paths independent paths at cfg.horizon; a path
+    that leaves the double range raises Overflow."""
     if not isinstance(spec, ProcessSpec):
         raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
     if isinstance(spec, ItoSpec):
@@ -84,13 +85,15 @@ def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
     for block, start in enumerate(range(0, cfg.paths, _BLOCK)):
         stop = min(start + _BLOCK, cfg.paths)
         out[start:stop] = kernel(_stream(cfg.seed, block), stop - start)
+    if _overflow_order(out) is not None:
+        raise _overflow("simulated path")
     return out
 
 
 def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     """Sample means of X^k, k = 1..max_order, with standard errors, in fixed
     path order."""
-    values = _floats("terminals", terminals).reshape(-1)
+    values = _floats("terminals", terminals, nan=False).reshape(-1)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
     max_order = _integer("max_order", max_order, 1)

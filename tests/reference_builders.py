@@ -12,6 +12,8 @@ library once wrote out separately and now shares.  `reference_grading` and
 engine and core ran before their rows lost their per-call numpy overhead;
 `reference_euler_solve` and `reference_thinning_kernel` are the Euler loop
 and the thinning kernel before their steps and iterations lost theirs.
+`reference_taylor_exp` is the Taylor kernel as it was before its temporaries
+moved into a per-thread scratch buffer, allocating them on every call.
 This module holds no tests.
 """
 
@@ -19,7 +21,10 @@ import math
 
 import numpy as np
 
-from matryoshkan.core import MatryoshkanMatrix, _check_steps, _overflow, _overflow_order
+from matryoshkan.core import (
+    _TAYLOR_COEF, _VECTOR_SQUARINGS, MatryoshkanMatrix, _check_steps, _overflow, _overflow_order, _taylor_degree,
+    _tril_matmul,
+)
 from matryoshkan.engine import CoefficientSystem, InitialMomentVector, MomentVector
 from matryoshkan.errors import InvalidInput, SingularMatrix, UnsupportedGamma
 from matryoshkan.processes import pascal_lower
@@ -290,6 +295,55 @@ def reference_grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
             log_next[k] = log_t - math.log(jumps[k] + 1)
     e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -1000)
     return np.clip(e, -1000, 1000).astype(np.int64)
+
+
+def reference_taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """e^B, or e^B w for a vector w, for a lower-triangular B by Taylor
+    scaling and squaring.
+
+    T_m(2^{-s} B) is evaluated by Paterson-Stockmeyer: the powers X^0..X^p
+    are stacked, every p-term chunk sum comes from one product of the chunk
+    coefficients with that stack, and Horner's rule in X^p joins the chunks.
+    No linear system is solved, and every other product is triangular.
+    The diagonal of T_m and of each square is reset to the exact e^{b_kk tau}
+    (Al-Mohy & Higham, SIMAX 31, 2009).  Given w, the last
+    r = min(s, _VECTOR_SQUARINGS) squarings are 2^r products of e^{2^{-r} B}
+    with the vector instead (Al-Mohy & Higham, SIMAX 33, 2011).  Powers of
+    two keep the scaling exact.  Entries that leave the double range come
+    back non-finite.
+    """
+    norm = float(np.abs(B).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise _overflow("generator times t")
+    index, s = _taylor_degree(norm)
+    coef = _TAYLOR_COEF[index]
+    p = coef.shape[1] - 1
+    n = B.shape[0]
+    idx = np.diag_indices(n)
+    powers = np.empty((p + 1, n, n))
+    powers[0] = 0.0
+    powers[0][idx] = 1.0
+    np.ldexp(B, -s, out=powers[1])
+    for j in range(2, p + 1):
+        _tril_matmul(powers[j - 1], powers[1], powers[j])
+    chunks = (coef @ powers.reshape(p + 1, n * n)).reshape(-1, n, n)
+    R, spare = chunks[-1], np.empty((n, n))
+    for chunk in chunks[-2::-1]:
+        R, spare = _tril_matmul(R, powers[p], spare), R
+        R += chunk
+    r = 0 if w is None else min(s, _VECTOR_SQUARINGS)
+    # R approximates e^{2^{-s} B} and squaring i gives e^{2^{i+1-s} B}: each
+    # diagonal is known exactly
+    diagonals = np.exp(np.ldexp(np.diagonal(B), np.arange(-s, 1 - r)[:, None]))
+    R[idx] = diagonals[0]
+    for diagonal in diagonals[1:]:
+        R, spare = _tril_matmul(R, R, spare), R
+        R[idx] = diagonal
+    if w is None:
+        return R
+    for _ in range(1 << r):
+        w = R @ w
+    return w
 
 
 def reference_solve_lower(m: MatryoshkanMatrix, rhs: np.ndarray) -> np.ndarray:

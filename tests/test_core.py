@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -616,6 +619,70 @@ def test_values_are_immutable_and_shareable(rng):
         results = list(pool.map(lambda _: mk.exp_scaled(m, 1.0).packed, range(8)))
     for r in results[1:]:
         assert np.array_equal(r, results[0])
+
+
+def test_threads_keep_the_bits_of_one_thread():
+    # eight threads on two CPUs, switching every microsecond, each round an
+    # order-100 and an order-10 transient and an order-20 exp_scaled, so the
+    # per-thread Taylor scratch buffers grow and shrink under one another
+    spec = mk.HawkesSpec(1.0, 1.0, 2.0, x0=1.5)
+    big, small, m = mk.build(spec, 100), mk.build(spec, 10), mk.build(spec, 20)[0].theta
+
+    def round_():
+        return (
+            mk.transient_vector(*big, 0.1).values.tobytes(),
+            mk.transient_vector(*small, 1.0).values.tobytes(),
+            mk.exp_scaled(m, 1.0).dense().tobytes(),
+        )
+
+    want, rounds, results, errors = round_(), 4, [], []
+
+    def worker():
+        try:
+            results.extend(round_() for _ in range(rounds))
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 8 * rounds
+    assert all(result == want for result in results)
+
+
+def test_warm_transient_allocates_no_taylor_workspace():
+    # after one warm call the order-100 kernel reuses its thread's scratch
+    # buffer, (p + q + 2) 101^2 doubles (1.06 MB); what remains is the graded
+    # generator and the grading's logarithms, a few 101^2 arrays
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0, x0=1.5), 100)
+    mk.transient_vector(system, init, 0.1)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mk.transient_vector(system, init, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * 101**2 * 8
+    # a matrix result is the caller's own, not a view of the scratch buffer
+    B = system.theta.dense() * 0.1
+    first, second = core._taylor_exp(B), core._taylor_exp(B)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, core._SCRATCH.buffer)
 
 
 def test_every_matrix_is_read_only_dense_with_exact_zeros_above(rng):

@@ -13,7 +13,7 @@ from corpus import CASES
 from oracle import (
     benchmark_spec, cached_transient_references, exact_steady, exact_transient, spec_system, worst_relative_error,
 )
-from reference_builders import reference_grading, reference_solve_lower
+from reference_builders import reference_grading, reference_solve_lower, reference_taylor_exp
 
 
 def scalar_system(theta11, theta01):
@@ -457,7 +457,7 @@ def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
     # generic draws; hawkes (1, 1, 2) at t = 1 holds each chain row k at
     # -log k, exactly the log(t/(p+1)) of the row before it
     assert ("hawkes:n=10", 1.0) in {(label, t) for label, _, _, times in CASES for t in times}
-    real, wrong, graded = mk.engine._grading, [], []
+    real, real_exp, wrong, graded, matrix_mode = mk.engine._grading, mk.core._taylor_exp, [], [], []
 
     def spy(A, v, t):
         e = real(A, v, t)
@@ -466,7 +466,21 @@ def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
             wrong.append(f"grading n={A.shape[0] - 1} t={t}")
         return e
 
+    def exp_spy(B, w=None):
+        # the bytes, so that signed zeros and NaN payloads count too
+        outcomes = []
+        for kernel in (real_exp, reference_taylor_exp):
+            try:
+                outcomes.append(kernel(B, w).tobytes())
+            except Overflow as exc:
+                outcomes.append(exc)
+        matrix_mode.append(w is None)
+        if repr(outcomes[0]) != repr(outcomes[1]):
+            wrong.append(f"taylor_exp n={B.shape[0]} matrix={w is None}")
+        return real_exp(B, w)
+
     monkeypatch.setattr(mk.engine, "_grading", spy)
+    monkeypatch.setattr(mk.core, "_taylor_exp", exp_spy)
     for label, spec, n, times in CASES:
         try:
             system, init = mk.build(spec, n)
@@ -496,5 +510,16 @@ def test_grading_and_solve_keep_the_bits_of_the_reference_loops(monkeypatch):
     v[[2, 5]] = 0.0, -0.0
     for t in (0.01, 0.1, 1.0, 5.0, 50.0):
         spy(A, v, t)
+    # matrix mode on augmented generators either side of _SPLIT_ORDER, the
+    # largest first so that the smaller ones run on a used scratch buffer
+    assert mk.core._SPLIT_ORDER == 64
+    for size in (101, 63, 64, 65):
+        system, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0, x0=1.5), size - 1)
+        A = np.zeros((size, size))
+        A[1:, 0], A[1:, 1:] = system.theta0, system.theta.dense()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (0.01, 0.1, 1.0, 5.0):
+                exp_spy(A * t)
     assert wrong == []
     assert len(graded) >= 200
+    assert sum(matrix_mode) == 16 and len(matrix_mode) - 16 >= 200

@@ -80,15 +80,15 @@ _TABLE = [
     ("horizon", lambda v: mk.SimConfig(3, v, 1), _bad_real(-1.0)),
     ("sim_step", lambda v: mk.SimConfig(3, 1.0, 1, sim_step=v), _bad_real(0.0)),
     # arrays of matrix entries and vectors
-    ("array", lambda v: mk.MatryoshkanMatrix([v]), _bad_array(1)),
-    ("values", lambda v: mk.MatryoshkanMatrix.from_diagonal(v), _bad_array(2)),
-    ("row", lambda v: mk.extend(_M, v, -4.0), _bad_array(3)),
-    ("diag", lambda v: mk.extend(None, [], v), [("3", InvalidInput), (None, InvalidInput)]),
+    ("array", lambda v: mk.MatryoshkanMatrix([v]), _bad_array(1) + [([math.nan], InvalidInput)]),
+    ("values", lambda v: mk.MatryoshkanMatrix.from_diagonal(v), _bad_array(2) + [([1.0, math.nan], InvalidInput)]),
+    ("row", lambda v: mk.extend(_M, v, -4.0), _bad_array(3) + [([1.0, math.nan, 1.0], InvalidInput)]),
+    ("diag", lambda v: mk.extend(None, [], v), [("3", InvalidInput), (None, InvalidInput), (math.nan, InvalidInput)]),
     ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3)),
     ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3)),
     ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3)),
     ("values", lambda v: mk.MomentVector(v), _bad_array(3)),
-    ("terminals", lambda v: mk.estimate_moments(v, 2), _bad_array(3)),
+    ("terminals", lambda v: mk.estimate_moments(v, 2), _bad_array(3) + [([math.nan, 1.0, 2.0], InvalidInput)]),
     # record fields
     ("lambda_star", lambda v: mk.HawkesSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("alpha", lambda v: mk.HawkesSpec(1.0, v, 2.0), _bad_real(-1.0)),

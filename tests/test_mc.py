@@ -257,6 +257,16 @@ def test_diffusion_law_past_the_double_range_raises_overflow(gamma):
         mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
 
 
+def test_euler_maruyama_path_past_the_double_range_raises_overflow():
+    # e^{100 t} leaves the double range near t = 7.1; a path then ends in
+    # inf or NaN, which is the simulation's overflow, not a bad sample
+    spec = mk.ItoSpec(mu=0.0, theta=100.0, sigma=1.0, gamma=2.0, x0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(Overflow, match=r"^simulated path leaves the double range$"):
+            mk.simulate(spec, mk.SimConfig(paths=5, horizon=8.0, seed=0))
+
+
 def test_square_root_law_with_vanishing_sigma_raises_overflow():
     # sigma**2 underflows to 0, and the law divides by it
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1e-200, gamma=1.0, x0=1.0)
