@@ -161,20 +161,34 @@ def _check_steps(what: str, count: float) -> None:
         raise InvalidInput(f"{count:.3g} {what} per path exceed the limit of {_MAX_STEPS:.0e}")
 
 
-def _floats(what: str, values, nan: bool = True) -> np.ndarray:
-    """``values`` as float64, refusing strings and other non-numbers as
-    ``_real`` does, and NaN unless ``nan``: a NaN that enters a matrix or a
-    sample would read later as Overflow.  Infinities pass, for the range
-    checks to report."""
+_SHAPES = ("a real number", "a vector", "a square matrix")
+
+
+def _same_order(what: str, got: int, order: int) -> None:
+    """The one order check: ``<what> must have order <order>, got <got>``."""
+    if got != order:
+        raise InvalidDimension(f"{what} must have order {order}, got {got}")
+
+
+def _shaped(what: str, values, ndim: int, order=None, nan: bool = True) -> np.ndarray:
+    """``values`` as float64: a real number (``ndim`` 0), a vector (1) or a
+    square matrix (2), of ``order`` where given, and never flattened.
+    Non-numbers are refused as by ``_real``, and NaN unless ``nan``: a NaN
+    that enters a matrix or a sample would read later as Overflow.
+    Infinities pass, for the range checks to report."""
     a = np.asarray(values)
     if a.dtype.kind not in "biuf" or (not nan and np.isnan(a).any()):
         raise InvalidInput(f"{what} must be real numbers, got {values!r}")
+    if a.ndim != ndim or (ndim == 2 and a.shape[0] != a.shape[1]):
+        raise InvalidDimension(f"{what} must be {_SHAPES[ndim]}, got shape {a.shape}")
+    if order is not None:
+        _same_order(what, a.shape[0], order)
     return a.astype(np.float64, copy=False)
 
 
-def _frozen(what: str, values) -> np.ndarray:
-    """A read-only flat float64 copy of ``values``."""
-    out = _floats(what, values).reshape(-1).copy()
+def _frozen(what: str, values, order=None, nan: bool = True) -> np.ndarray:
+    """A read-only float64 copy of the vector ``values``, checked by ``_shaped``."""
+    out = _shaped(what, values, 1, order, nan).copy()
     out.setflags(write=False)
     return out
 
@@ -191,9 +205,7 @@ class MatryoshkanMatrix:
     __slots__ = ("order", "_data")
 
     def __init__(self, array):
-        a = _floats("array", array, nan=False)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidDimension(f"expected a square matrix, got shape {a.shape}")
+        a = _shaped("array", array, 2, nan=False)
         _check_order(a.shape[0])
         if np.triu(a, 1).any():
             raise InvalidDimension("entries above the diagonal must be exactly zero")
@@ -222,7 +234,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
-        d = _floats("values", values, nan=False).reshape(-1)
+        d = _shaped("values", values, 1, nan=False)
         _check_order(d.shape[0])
         return cls._own(np.diag(d))
 
@@ -271,11 +283,6 @@ class EigenPair:
 
 
 # -- helpers --------------------------------------------------------------
-
-
-def _require_same_order(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> None:
-    if x.order != y.order:
-        raise InvalidDimension(f"order mismatch: {x.order} vs {y.order}")
 
 
 def _taylor_degree(norm: float) -> tuple[int, int]:
@@ -377,12 +384,10 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
 
     Raises:
         InvalidInput: rhs holds entries that are not numbers.
-        InvalidDimension: rhs does not have shape (order,).
+        InvalidDimension: rhs is not a vector of the matrix's order.
         SingularMatrix: a diagonal entry is zero.
     """
-    b = _floats("rhs", rhs)
-    if b.shape != (m.order,):
-        raise InvalidDimension(f"rhs shape {b.shape} != ({m.order},)")
+    b = _shaped("rhs", rhs, 1, m.order)
     L = m.dense()
     x = np.empty(m.order)
     for i, (b_i, d_i) in enumerate(zip(b.tolist(), m.diagonal().tolist())):
@@ -454,28 +459,19 @@ def extend(
 
     With ``base=None`` and an empty row this is the order-1 base case.
     """
-    r, diag = _floats("row", row, nan=False), float(_floats("diag", diag, nan=False))
-    if r.ndim != 1:
-        raise InvalidDimension(f"row must be one-dimensional, got shape {r.shape}")
-    if base is None:
-        if r.shape[0] != 0:
-            raise InvalidDimension("base case takes an empty row")
-        return MatryoshkanMatrix.from_diagonal([diag])
-    if r.shape[0] != base.order:
-        raise InvalidDimension(
-            f"row length {r.shape[0]} != base order {base.order}"
-        )
-    n = base.order
+    n = 0 if base is None else base.order
+    r, d = _shaped("row", row, 1, n, nan=False), _shaped("diag", diag, 0, nan=False)
     X = np.zeros((n + 1, n + 1))
-    X[:n, :n] = base.dense()
+    if base is not None:
+        X[:n, :n] = base.dense()
     X[n, :n] = r
-    X[n, n] = diag
+    X[n, n] = d
     return MatryoshkanMatrix._own(X)
 
 
 def add(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     """Entrywise sum; 0.0 + 0.0 keeps the upper triangle exact zeros."""
-    _require_same_order(x, y)
+    _same_order("y", y.order, x.order)
     return _checked("matrix sum", lambda: x.dense() + y.dense())
 
 
@@ -486,7 +482,7 @@ def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     on i alone, so the product nests bit for bit; one dense BLAS product of
     the whole matrices does not, because its blocking depends on the order.
     """
-    _require_same_order(x, y)
+    _same_order("y", y.order, x.order)
     return _checked("matrix product", lambda: _product(x.dense(), y.dense()))
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overflow_order
-from .errors import InvalidInput, NonStationary
+from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overflow_order, _same_order
+from .errors import NonStationary
 
 __all__ = [
     "CoefficientSystem",
@@ -41,10 +41,7 @@ _GRADE_EXP = 1000
 
 
 def _check_initial(system: CoefficientSystem, init: InitialMomentVector) -> None:
-    if init.order != system.order:
-        raise InvalidInput(
-            f"initial vector order {init.order} != system order {system.order}"
-        )
+    _same_order("init", init.order, system.order)
     _in_range("initial moment", init.powers)
 
 
@@ -61,12 +58,7 @@ class CoefficientSystem:
     theta0: np.ndarray
 
     def __post_init__(self):
-        shift = core._frozen("theta0", self.theta0)
-        if shift.shape[0] != self.theta.order:
-            raise InvalidInput(
-                f"shift vector length {shift.shape[0]} != order {self.theta.order}"
-            )
-        object.__setattr__(self, "theta0", shift)
+        object.__setattr__(self, "theta0", core._frozen("theta0", self.theta0, self.theta.order))
 
     @property
     def order(self) -> int:
@@ -84,7 +76,7 @@ class InitialMomentVector:
     powers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", core._frozen("powers", self.powers))
+        object.__setattr__(self, "powers", core._frozen("powers", self.powers, nan=False))
 
     @classmethod
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":

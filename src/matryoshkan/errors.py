@@ -18,7 +18,7 @@ class InvalidInput(MatryoshkanError, ValueError):
 
 
 class InvalidDimension(InvalidInput):
-    """Operands have incompatible orders or malformed storage."""
+    """An order, a shape, a leading block or an exponent breaks its rule."""
 
 
 class SingularMatrix(MatryoshkanError):

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_steps, _integer, _overflow, _overflow_order, _real
+from .core import _check_steps, _integer, _overflow, _overflow_order, _real, _same_order
 from .engine import (CoefficientSystem, InitialMomentVector, MomentVector, _check_initial,
                      transient_vector)
-from .errors import InvalidInput
 
 __all__ = ["BenchRecord", "EulerConfig", "bench", "error_metrics", "euler_solve"]
 
@@ -104,10 +103,7 @@ def error_metrics(
     The relative error divides by the closed-form value; components where it
     is zero report NaN there (the absolute error still stands).
     """
-    if m_euler.order != m_closed.order:
-        raise InvalidInput(
-            f"order mismatch: {m_euler.order} vs {m_closed.order}"
-        )
+    _same_order("m_closed", m_closed.order, m_euler.order)
     abs_err = np.abs(m_euler.values - m_closed.values)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(m_closed.values != 0.0, abs_err / m_closed.values, np.nan)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_ENTRIES, _check_steps, _floats, _integer, _overflow, _overflow_order, _real
+from .core import _MAX_ENTRIES, _check_steps, _integer, _overflow, _overflow_order, _real, _shaped
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -93,7 +93,7 @@ def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
 def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     """Sample means of X^k, k = 1..max_order, with standard errors, in fixed
     path order."""
-    values = _floats("terminals", terminals, nan=False).reshape(-1)
+    values = _shaped("terminals", terminals, 1, nan=False)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
     max_order = _integer("max_order", max_order, 1)
@@ -228,21 +228,23 @@ def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
     def euler(rng: np.random.Generator, m: int) -> np.ndarray:
         """s += (mu + theta s) dt + vol (sqdt z), each step in place."""
         s, z, vol, drift = np.full(m, x0), np.empty(m), np.empty(m), np.empty(m)
-        for _ in range(steps):
-            rng.standard_normal(out=z)
-            z *= sqdt
-            if expo == 1.0:
-                np.multiply(s, sigma, out=vol)
-            else:
-                np.maximum(s, 0.0, out=vol)
-                vol **= expo
-                vol *= sigma
-            vol *= z
-            np.multiply(s, theta, out=drift)
-            drift += mu
-            drift *= dt
-            drift += vol
-            s += drift
+        # a path past the double range goes on as inf or NaN for simulate to report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                rng.standard_normal(out=z)
+                z *= sqdt
+                if expo == 1.0:
+                    np.multiply(s, sigma, out=vol)
+                else:
+                    np.maximum(s, 0.0, out=vol)
+                    vol **= expo
+                    vol *= sigma
+                vol *= z
+                np.multiply(s, theta, out=drift)
+                drift += mu
+                drift *= dt
+                drift += vol
+                s += drift
         return s
 
     return euler

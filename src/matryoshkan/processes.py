@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _check_order, _in_range, _integer, _real, _reals
+from .core import MatryoshkanMatrix, _check_order, _checked, _in_range, _integer, _real, _reals
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     InsufficientMoments,
@@ -60,11 +60,14 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     if pascal.shape[0] < n:
         pascal = np.zeros((n, n))
         pascal[:, 0] = 1.0
-        # row k = [1, prev[:-1] + prev[1:], prev[-1] + 1], prev = row k - 1
-        for k in range(1, n):
-            prev = pascal[k - 1, :k]
-            pascal[k, 1:k] = prev[:-1] + prev[1:]
-            pascal[k, k] = prev[-1] + 1.0
+        # row k = [1, prev[:-1] + prev[1:], prev[-1] + 1], prev = row k - 1;
+        # from order 1030 on some entries pass the double range and stay
+        # infinite for the callers' range checks
+        with np.errstate(over="ignore"):
+            for k in range(1, n):
+                prev = pascal[k - 1, :k]
+                pascal[k, 1:k] = prev[:-1] + prev[1:]
+                pascal[k, k] = prev[-1] + 1.0
         gap = np.tril(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
         pascal.setflags(write=False)
         gap.setflags(write=False)
@@ -442,8 +445,9 @@ def pascal_matryoshkan(n: int, a: float) -> MatryoshkanMatrix:
     """Entries C(i, j-1) a^(i-j+1) for i >= j: the binomial rows that jump
     terms contribute to the moment system."""
     _check_order(n)
+    a = _real("a", a)
     pascal, gap = _tables(n)
-    return MatryoshkanMatrix._own(pascal * np.power(_real("a", a), gap[1 : n + 1, :n]))
+    return _checked("Pascal Matryoshkan matrix", lambda: pascal * np.power(a, gap[1 : n + 1, :n]))
 
 
 def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
@@ -455,10 +459,11 @@ def pascal_lower(k: int, a: float) -> MatryoshkanMatrix:
     matrix.
     """
     _check_order(k)
+    a = _real("a", a)
     pascal, gap = _tables(k - 1)
     binom = np.eye(k)
     binom[1:, :-1] += pascal
-    return MatryoshkanMatrix._own(binom * np.power(_real("a", a), gap[:k, :k]))
+    return _checked("Pascal matrix", lambda: binom * np.power(a, gap[:k, :k]))
 
 
 # -- the builder --------------------------------------------------------------
@@ -482,44 +487,47 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     _check_order(n)
     spec = spec.generator()
     a = spec.coeffs
-    coef = np.zeros((n, n + 1))
-    # Entry C(k, j) E[J^(k-j)] of row k multiplies x^j (rates a0, a2) or
-    # x^(j+1) (rates a1, a3); above the diagonal it is an exact zero.  Each
-    # term is formed as (rate * C) * E in one scratch array.  Negation is
-    # exact, so a down-jump's sign folds into E[J^i] bit for bit.
-    for r, law in ((0, spec.up), (2, spec.down)):
-        if a[r] == 0.0 and a[r + 1] == 0.0:
-            continue
-        moments = np.concatenate(([1.0], law.moments(n)))
-        if r == 2:
-            np.negative(moments[1::2], out=moments[1::2])
-        pascal, gap = _tables(n)
-        # take gathers through the strided view at about half the cost of indexing
-        e, term = np.take(moments, gap[1 : n + 1, :n]), np.empty((n, n))
-        for rate, columns in ((a[r], coef[:, :-1]), (a[r + 1], coef[:, 1:])):
-            if rate != 0.0:
-                np.multiply(rate, pascal, out=term)
-                term *= e
-                columns += term
+    # coefficients past the double range stay infinite (or NaN, inf - inf)
+    # for the solves to report, as the initial powers do
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.zeros((n, n + 1))
+        # Entry C(k, j) E[J^(k-j)] of row k multiplies x^j (rates a0, a2) or
+        # x^(j+1) (rates a1, a3); above the diagonal it is an exact zero.  Each
+        # term is formed as (rate * C) * E in one scratch array.  Negation is
+        # exact, so a down-jump's sign folds into E[J^i] bit for bit.
+        for r, law in ((0, spec.up), (2, spec.down)):
+            if a[r] == 0.0 and a[r + 1] == 0.0:
+                continue
+            moments = np.concatenate(([1.0], law.moments(n)))
+            if r == 2:
+                np.negative(moments[1::2], out=moments[1::2])
+            pascal, gap = _tables(n)
+            # take gathers through the strided view at about half the cost of indexing
+            e, term = np.take(moments, gap[1 : n + 1, :n]), np.empty((n, n))
+            for rate, columns in ((a[r], coef[:, :-1]), (a[r + 1], coef[:, 1:])):
+                if rate != 0.0:
+                    np.multiply(rate, pascal, out=term)
+                    term *= e
+                    columns += term
 
-    # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
-    # the last)
-    flat = coef.reshape(-1)
-    x_k, x_k1, x_k2 = flat[1 :: n + 2], flat[:: n + 2], flat[n + 1 :: n + 2]
-    k = np.arange(1.0, n + 1.0)
-    kk1 = k[1:] * (k[1:] - 1.0)
-    if a[4] != 0.0:
-        x_k1 += a[4] * k
-    if a[5] != 0.0:
-        x_k += a[5] * k
-    if a[6] != 0.0:
-        x_k2 += a[6] * kk1
-    if a[7] != 0.0:
-        x_k1[1:] += a[7] * kk1
-    if a[8] != 0.0:
-        x_k[1:] += a[8] * kk1
-    if a[9] != 0.0:
-        x_k += a[9] * (spec.collapse.moments(n) - 1.0)
+        # columns k, k - 1 and k - 2 of row k - 1, for k = 1..n (k >= 2 for
+        # the last)
+        flat = coef.reshape(-1)
+        x_k, x_k1, x_k2 = flat[1 :: n + 2], flat[:: n + 2], flat[n + 1 :: n + 2]
+        k = np.arange(1.0, n + 1.0)
+        kk1 = k[1:] * (k[1:] - 1.0)
+        if a[4] != 0.0:
+            x_k1 += a[4] * k
+        if a[5] != 0.0:
+            x_k += a[5] * k
+        if a[6] != 0.0:
+            x_k2 += a[6] * kk1
+        if a[7] != 0.0:
+            x_k1[1:] += a[7] * kk1
+        if a[8] != 0.0:
+            x_k[1:] += a[8] * kk1
+        if a[9] != 0.0:
+            x_k += a[9] * (spec.collapse.moments(n) - 1.0)
 
     system = CoefficientSystem(MatryoshkanMatrix._own(coef[:, 1:]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)

@@ -510,6 +510,20 @@ def test_time_past_1e300_gives_the_stationary_moments(capsys):
             3,
             "error: Overflow: transition law at t = 1.0 leaves the double range\n",
         ),
+        # coefficients and paths past the double range, each once preceded
+        # by numpy RuntimeWarnings
+        (
+            ["moments", "--process", "growthcollapse", "--params", "lambda=1e308,mu=1",
+             "--order", "3", "--time", "1"],
+            3,
+            "error: Overflow: generator times t leaves the double range\n",
+        ),
+        (
+            ["simulate", "--process", "ito", "--params", "mu=0,theta=100,sigma=1,gamma=2,x0=1",
+             "--order", "2", "--time", "10", "--paths", "10", "--seed", "1"],
+            3,
+            "error: Overflow: simulated path leaves the double range\n",
+        ),
         # sizes past the address space, which the allocator refuses at once
         (
             ["moments", "--process", "hawkes", "--params", "lambda-star=1,alpha=1,beta=2",
@@ -531,7 +545,8 @@ def test_time_past_1e300_gives_the_stationary_moments(capsys):
         ),
     ],
     ids=["sigma-squared-overflows", "explicit-square-overflows", "sigma-squared-underflows",
-         "order-unallocatable", "order-unaddressable", "paths-unallocatable"],
+         "growth-collapse-coefficients", "euler-maruyama-path", "order-unallocatable",
+         "order-unaddressable", "paths-unallocatable"],
 )
 def test_extreme_numeric_input_is_a_library_error(capsys, args, code, err):
     # each once escaped as a raw OverflowError, ZeroDivisionError or numpy

@@ -69,8 +69,9 @@ def test_constructor_rejects_upper_triangle_and_non_square():
         M([[1.0, 0.5], [0.0, 1.0]])
     # a packed triangle is not a matrix: the one constructor takes rows
     for shape in ((1, 2), (3,), (2, 2, 2)):
-        with pytest.raises(InvalidDimension, match="expected a square matrix"):
+        with pytest.raises(InvalidDimension) as exc:
             M(np.zeros(shape))
+        assert str(exc.value) == f"array must be a square matrix, got shape {shape}"
 
 
 def test_constructors_reject_non_positive_orders():

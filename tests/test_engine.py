@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
-from matryoshkan.errors import InvalidInput, NonStationary, Overflow
+from matryoshkan.errors import InvalidDimension, InvalidInput, NonStationary, Overflow
 
 from conftest import FIXTURES, NONNEGATIVE, STABLE, build_fixture
 from corpus import CASES
@@ -190,17 +190,17 @@ def test_negative_time_rejected():
 
 def test_shift_of_another_length_is_rejected():
     for shift in ([1.0], [1.0, 2.0, 3.0]):
-        with pytest.raises(InvalidInput, match=f"shift vector length {len(shift)} != order 2"):
+        with pytest.raises(InvalidDimension, match=f"^theta0 must have order 2, got {len(shift)}$"):
             mk.CoefficientSystem(mk.MatryoshkanMatrix.from_diagonal(np.ones(2)), shift)
 
 
 def test_initial_vector_of_another_order_is_rejected():
     system, _ = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 3)
     init = mk.InitialMomentVector.from_state(1.0, 2)
-    message = "initial vector order 2 != system order 3"
-    with pytest.raises(InvalidInput, match=message):
+    message = "^init must have order 3, got 2$"
+    with pytest.raises(InvalidDimension, match=message):
         mk.transient_vector(system, init, 1.0)
-    with pytest.raises(InvalidInput, match=message):
+    with pytest.raises(InvalidDimension, match=message):
         mk.euler_solve(system, init, mk.EulerConfig(step=1e-2, horizon=1.0))
 
 

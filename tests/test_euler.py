@@ -6,7 +6,7 @@ import pytest
 
 import matryoshkan as mk
 from matryoshkan import euler
-from matryoshkan.errors import InvalidInput, Overflow
+from matryoshkan.errors import InvalidDimension, InvalidInput, Overflow
 
 from conftest import FIXTURES, build_fixture
 from reference_builders import reference_euler_solve
@@ -144,7 +144,7 @@ def test_error_metrics_examples():
     assert rel_err[0] == pytest.approx(0.05, rel=1e-12)
     same = mk.error_metrics(b, b)
     assert same[0][0] == 0.0 and same[1][0] == 0.0
-    with pytest.raises(InvalidInput, match="order mismatch: 1 vs 2"):
+    with pytest.raises(InvalidDimension, match="^m_closed must have order 1, got 2$"):
         mk.error_metrics(a, mk.MomentVector([2.0, 4.0]))
 
 

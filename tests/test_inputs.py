@@ -1,8 +1,11 @@
-"""Every public count and real parameter, and every law field, against the
-values it must refuse: each refusal is a library error whose message opens
-with the parameter's name.  New cases are rows of ``_TABLE``."""
+"""Every public count and real parameter, every array's shape and order, and
+every law field, against the values it must refuse: each refusal is a library
+error whose message opens with the parameter's name.  New cases are rows of
+``_TABLE``."""
 
 import math
+
+import numpy as np
 
 import matryoshkan as mk
 from matryoshkan.core import _MAX_ENTRIES, _MAX_ORDER
@@ -32,6 +35,19 @@ def _bad_array(size):
     return [(["1"] * size, InvalidInput), ([None] * size, InvalidInput)]
 
 
+def _bad_shape(ndim, order=None):
+    """Bad shapes of a real number (ndim 0), a vector (1) or a square matrix
+    (2) of ``order`` entries a side (2 where any order is taken): one
+    dimension more with as many entries, one fewer, a matrix that is not
+    square and, where the order is fixed, one more."""
+    size = 2 if order is None else order
+    bad = [np.ones((1,) + (size,) * ndim)]
+    bad += [np.ones((size,) * (ndim - 1))] if ndim else []
+    bad += [np.ones((size, size + 1))] if ndim == 2 else []
+    bad += [] if order is None else [np.ones((order + 1,) * ndim)]
+    return [(b, InvalidDimension) for b in bad]
+
+
 def _bad_law(optional=False):
     """Bad values of a jump-law field: a number, a descriptor string and,
     where the law is required, None."""
@@ -41,6 +57,7 @@ def _bad_law(optional=False):
 _M = mk.MatryoshkanMatrix.from_diagonal([-1.0, -2.0, -3.0])
 _SYSTEM, _INIT = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 3)
 _UP = mk.DeterministicJumps(1.0)
+_SMALLER = mk.MatryoshkanMatrix.from_diagonal([-1.0, -2.0])
 
 # (name the message opens with, call taking the bad value, bad values with
 # the error each raises)
@@ -79,16 +96,30 @@ _TABLE = [
     ("horizon", lambda v: mk.EulerConfig(0.1, v), _bad_real(-1.0)),
     ("horizon", lambda v: mk.SimConfig(3, v, 1), _bad_real(-1.0)),
     ("sim_step", lambda v: mk.SimConfig(3, 1.0, 1, sim_step=v), _bad_real(0.0)),
-    # arrays of matrix entries and vectors
+    # arrays of matrix entries and vectors, their shapes and orders
     ("array", lambda v: mk.MatryoshkanMatrix([v]), _bad_array(1) + [([math.nan], InvalidInput)]),
-    ("values", lambda v: mk.MatryoshkanMatrix.from_diagonal(v), _bad_array(2) + [([1.0, math.nan], InvalidInput)]),
-    ("row", lambda v: mk.extend(_M, v, -4.0), _bad_array(3) + [([1.0, math.nan, 1.0], InvalidInput)]),
-    ("diag", lambda v: mk.extend(None, [], v), [("3", InvalidInput), (None, InvalidInput), (math.nan, InvalidInput)]),
-    ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3)),
-    ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3)),
-    ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3)),
-    ("values", lambda v: mk.MomentVector(v), _bad_array(3)),
-    ("terminals", lambda v: mk.estimate_moments(v, 2), _bad_array(3) + [([math.nan, 1.0, 2.0], InvalidInput)]),
+    ("array", lambda v: mk.MatryoshkanMatrix(v), _bad_shape(2)),
+    ("values", lambda v: mk.MatryoshkanMatrix.from_diagonal(v),
+     _bad_array(2) + [([1.0, math.nan], InvalidInput)] + _bad_shape(1)),
+    ("row", lambda v: mk.extend(_M, v, -4.0), _bad_array(3) + [([1.0, math.nan, 1.0], InvalidInput)] + _bad_shape(1, 3)),
+    ("row", lambda v: mk.extend(None, v, 1.0), _bad_shape(1, 0)),
+    ("diag", lambda v: mk.extend(None, [], v),
+     [("3", InvalidInput), (None, InvalidInput), (math.nan, InvalidInput), ([1.0, 2.0], InvalidDimension)]
+     + _bad_shape(0)),
+    ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3) + _bad_shape(1, 3)),
+    ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3) + _bad_shape(1, 3)),
+    ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1)),
+    ("values", lambda v: mk.MomentVector(v), _bad_array(3) + _bad_shape(1)),
+    ("terminals", lambda v: mk.estimate_moments(v, 2),
+     _bad_array(3) + [([math.nan, 1.0, 2.0], InvalidInput), (np.ones((2, 2)), InvalidDimension)] + _bad_shape(1)),
+    # operands of another order
+    ("y", lambda v: mk.add(_M, v), [(_SMALLER, InvalidDimension)]),
+    ("y", lambda v: mk.multiply(_M, v), [(_SMALLER, InvalidDimension)]),
+    ("init", lambda v: mk.transient_vector(_SYSTEM, v, 1.0), [(mk.InitialMomentVector([1.0]), InvalidDimension)]),
+    ("init", lambda v: mk.euler_solve(_SYSTEM, v, mk.EulerConfig(0.1, 1.0)),
+     [(mk.InitialMomentVector([1.0]), InvalidDimension)]),
+    ("m_closed", lambda v: mk.error_metrics(mk.MomentVector([1.0, 2.0, 3.0]), v),
+     [(mk.MomentVector([1.0]), InvalidDimension)]),
     # record fields
     ("lambda_star", lambda v: mk.HawkesSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("alpha", lambda v: mk.HawkesSpec(1.0, v, 2.0), _bad_real(-1.0)),
@@ -133,14 +164,15 @@ _TABLE = [
 
 def test_every_count_real_and_law_refuses_bad_values_by_name():
     # each once escaped as a raw TypeError or AttributeError, was accepted
-    # (a string a float() parses), or named a coefficient the caller never set
+    # (a string a float() parses, an array of another shape that flattened
+    # to the right size), or named a coefficient the caller never set
     wrong = []
     for name, call, bad_values in _TABLE:
         for value, error in bad_values:
             try:
                 call(value)
             except Exception as exc:
-                if type(exc) is not error or not str(exc).startswith(f"{name} must be "):
+                if type(exc) is not error or not str(exc).startswith((f"{name} must be ", f"{name} must have order ")):
                     wrong.append(f"{name}={value!r}: {type(exc).__name__}: {exc}")
             else:
                 wrong.append(f"{name}={value!r}: accepted")

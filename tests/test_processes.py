@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import matryoshkan as mk
+from matryoshkan import processes
 from matryoshkan.errors import (
     InsufficientMoments,
     InvalidDimension,
@@ -91,6 +92,41 @@ def test_pascal_matryoshkan_from_lower():
     for i in range(1, n + 1):
         expected[i - 1, :i] = lower[i, :i]
     assert np.abs(mk.pascal_matryoshkan(n, a).dense() - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.fixture
+def fresh_pascal_table(monkeypatch):
+    """An empty shared Pascal table, so that the test grows it whatever ran
+    before; the grown one is dropped afterwards."""
+    monkeypatch.setattr(processes, "_PASCAL_BUFFER", (np.empty((0, 0)), np.zeros((1, 1), dtype=np.intp)))
+
+
+def test_pascal_matrices_past_the_double_range_raise_overflow(fresh_pascal_table):
+    # C(1030, 515) > 1.8e308: the table grows past the double range without
+    # a numpy warning, and each matrix names its first infinite row (once 66
+    # RuntimeWarnings and a matrix infinite from row 1030)
+    with pytest.raises(Overflow, match="^Pascal Matryoshkan matrix of order 1030 leaves the double range$"):
+        mk.pascal_matryoshkan(1100, 1.0)
+    with pytest.raises(Overflow, match="^Pascal matrix of order 1031 leaves the double range$"):
+        mk.pascal_lower(1100, 1.0)
+    assert np.isfinite(mk.pascal_matryoshkan(1029, 1.0).dense()).all()
+    with pytest.raises(Overflow, match="^Pascal Matryoshkan matrix of order 2 leaves the double range$"):
+        mk.pascal_matryoshkan(2, 1e200)
+
+
+def test_coefficients_past_the_double_range_build_without_warnings(fresh_pascal_table):
+    # each once printed a RuntimeWarning before its Overflow; build keeps the
+    # infinities for the solves to report
+    system, init = mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 1100)
+    assert not np.isfinite(system.theta.dense()[1029]).all()
+    with pytest.raises(Overflow, match="^stationary moment of order 177 leaves the double range$"):
+        mk.steady_vector(system)
+    with pytest.raises(Overflow, match="^generator times t leaves the double range$"):
+        mk.transient_vector(system, init, 1.0)
+    system, init = mk.build(mk.GrowthCollapseSpec(1e308, 1.0), 3)
+    assert np.diagonal(system.theta.dense(), -1).tolist() == [math.inf, math.inf]
+    with pytest.raises(Overflow, match="^generator times t leaves the double range$"):
+        mk.transient_vector(system, init, 1.0)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.3])
