@@ -186,6 +186,16 @@ def _shaped(what: str, values, ndim: int, order=None, nan: bool = True) -> np.nd
     return a.astype(np.float64, copy=False)
 
 
+def _typed(what: str, value, kind: type):
+    """``value`` if it is a ``kind``; else InvalidInput
+    ``<what> must be a <kind>, got <type>``, in place of the AttributeError
+    that the first attribute read would raise."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidInput(f"{what} must be {article} {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _frozen(what: str, values, order=None, nan: bool = True) -> np.ndarray:
     """A read-only float64 copy of the vector ``values``, checked by ``_shaped``."""
     out = _shaped(what, values, 1, order, nan).copy()
@@ -254,7 +264,7 @@ class MatryoshkanMatrix:
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, which are also the eigenvalues (read-only)."""
-        return np.diagonal(self._data)
+        return self._data.diagonal()
 
     def leading(self, k: int) -> "MatryoshkanMatrix":
         """The order-k leading block, a copy of the top-left k-by-k block."""
@@ -304,22 +314,27 @@ def _taylor_degree(norm: float) -> tuple[int, int]:
     return index, s
 
 
-def _tril_matmul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """X @ Y into ``out`` for lower-triangular X and Y; ``out`` aliases neither.
+def _tril_matmul(n: int):
+    """The product ``matmul(X, Y, out=out)`` of n-by-n lower-triangular X and
+    Y into ``out``, which aliases neither, chosen once per order.
 
-    From _SPLIT_ORDER up the product is three gemms, the two diagonal blocks
-    and the lower-left block X[h:] @ Y[:, :h], and the strict upper triangle
-    of ``out`` is exactly 0.0: half the flops of a dense product.
+    Below _SPLIT_ORDER it is np.matmul.  From there it is three gemms, the two
+    diagonal blocks and the lower-left block X[h:] @ Y[:, :h], and the strict
+    upper triangle of ``out`` is exactly 0.0: half the flops of a dense
+    product.
     """
-    n = X.shape[0]
     if n < _SPLIT_ORDER:
-        return np.matmul(X, Y, out=out)
+        return np.matmul
     h = n // 2
-    np.matmul(X[:h, :h], Y[:h, :h], out=out[:h, :h])
-    np.matmul(X[h:, h:], Y[h:, h:], out=out[h:, h:])
-    np.matmul(X[h:], Y[:, :h], out=out[h:, :h])
-    out[:h, h:] = 0.0
-    return out
+
+    def split(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(X[:h, :h], Y[:h, :h], out=out[:h, :h])
+        np.matmul(X[h:, h:], Y[h:, h:], out=out[h:, h:])
+        np.matmul(X[h:], Y[:, :h], out=out[h:, :h])
+        out[:h, h:] = 0.0
+        return out
+
+    return split
 
 
 def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -338,40 +353,41 @@ def _taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     back non-finite.  The stack, the chunk sums and a spare product live in
     this thread's scratch buffer, which grows to the largest (p + q + 2) n^2
     entries its thread has needed and holds whatever the last call left;
-    e^B comes back as a copy.
+    e^B comes back as a copy.  The product is chosen once per call
+    (``_tril_matmul``), the kernel's only test of the order.
     """
-    norm = float(np.abs(B).sum(axis=0).max())
+    norm = float(np.maximum.reduce(np.add.reduce(np.abs(B), axis=0)))
     if not math.isfinite(norm):
         raise _overflow("generator times t")
     index, s = _taylor_degree(norm)
     coef = _TAYLOR_COEF[index]
     q, p = coef.shape[0], coef.shape[1] - 1
     n = B.shape[0]
-    idx = np.diag_indices(n)
+    matmul = _tril_matmul(n)
     size = (p + q + 2) * n * n
     buffer = getattr(_SCRATCH, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _SCRATCH.buffer = np.empty(size)
     work = buffer[:size].reshape(p + q + 2, n, n)
     powers, chunks, spare = work[: p + 1], work[p + 1 : -1], work[-1]
-    powers[0] = 0.0
-    powers[0][idx] = 1.0
-    np.ldexp(B, -s, out=powers[1])
-    for j in range(2, p + 1):
-        _tril_matmul(powers[j - 1], powers[1], powers[j])
+    powers[0].fill(0.0)
+    powers[0].reshape(-1)[:: n + 1] = 1.0
+    X = X1 = np.ldexp(B, -s, out=powers[1])
+    for power in powers[2:]:
+        X = matmul(X, X1, out=power)
     np.matmul(coef, powers.reshape(p + 1, n * n), out=chunks.reshape(q, n * n))
     R = chunks[-1]
     for chunk in chunks[-2::-1]:
-        R, spare = _tril_matmul(R, powers[p], spare), R
+        R, spare = matmul(R, X, out=spare), R
         R += chunk
     r = 0 if w is None else min(s, _VECTOR_SQUARINGS)
     # R approximates e^{2^{-s} B} and squaring i gives e^{2^{i+1-s} B}: each
     # diagonal is known exactly
-    diagonals = np.exp(np.ldexp(np.diagonal(B), np.arange(-s, 1 - r)[:, None]))
-    R[idx] = diagonals[0]
+    diagonals = np.exp(np.ldexp(B.diagonal(), np.arange(-s, 1 - r)[:, None]))
+    R.reshape(-1)[:: n + 1] = diagonals[0]
     for diagonal in diagonals[1:]:
-        R, spare = _tril_matmul(R, R, spare), R
-        R[idx] = diagonal
+        R, spare = matmul(R, R, out=spare), R
+        R.reshape(-1)[:: n + 1] = diagonal
     if w is None:
         return R.copy()
     for _ in range(1 << r):
@@ -387,7 +403,7 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
         InvalidDimension: rhs is not a vector of the matrix's order.
         SingularMatrix: a diagonal entry is zero.
     """
-    b = _shaped("rhs", rhs, 1, m.order)
+    b = _shaped("rhs", rhs, 1, _typed("m", m, MatryoshkanMatrix).order)
     L = m.dense()
     x = np.empty(m.order)
     for i, (b_i, d_i) in enumerate(zip(b.tolist(), m.diagonal().tolist())):
@@ -459,7 +475,7 @@ def extend(
 
     With ``base=None`` and an empty row this is the order-1 base case.
     """
-    n = 0 if base is None else base.order
+    n = 0 if base is None else _typed("base", base, MatryoshkanMatrix).order
     r, d = _shaped("row", row, 1, n, nan=False), _shaped("diag", diag, 0, nan=False)
     X = np.zeros((n + 1, n + 1))
     if base is not None:
@@ -471,7 +487,7 @@ def extend(
 
 def add(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     """Entrywise sum; 0.0 + 0.0 keeps the upper triangle exact zeros."""
-    _same_order("y", y.order, x.order)
+    _same_order("y", _typed("y", y, MatryoshkanMatrix).order, _typed("x", x, MatryoshkanMatrix).order)
     return _checked("matrix sum", lambda: x.dense() + y.dense())
 
 
@@ -482,7 +498,7 @@ def multiply(x: MatryoshkanMatrix, y: MatryoshkanMatrix) -> MatryoshkanMatrix:
     on i alone, so the product nests bit for bit; one dense BLAS product of
     the whole matrices does not, because its blocking depends on the order.
     """
-    _same_order("y", y.order, x.order)
+    _same_order("y", _typed("y", y, MatryoshkanMatrix).order, _typed("x", x, MatryoshkanMatrix).order)
     return _checked("matrix product", lambda: _product(x.dense(), y.dense()))
 
 
@@ -493,7 +509,7 @@ def inverse(m: MatryoshkanMatrix) -> MatryoshkanMatrix:
     W_{k-1} the inverse already assembled, and 1/d_k on the diagonal.  No
     dense general-purpose inversion is involved.
     """
-    d = m.diagonal()
+    d = _typed("m", m, MatryoshkanMatrix).diagonal()
     zero = np.flatnonzero(d == 0.0)
     if zero.size:
         raise SingularMatrix(int(zero[0]) + 1)
@@ -510,6 +526,7 @@ def power(m: MatryoshkanMatrix, k: int) -> MatryoshkanMatrix:
     Raises:
         InvalidDimension: k is negative.
     """
+    _typed("m", m, MatryoshkanMatrix)
     k = _integer("k", k, 0, error=InvalidDimension)
     if k == 0:
         return MatryoshkanMatrix.from_diagonal(np.ones(m.order))
@@ -539,8 +556,8 @@ def exp_scaled(m: MatryoshkanMatrix, t: float) -> MatryoshkanMatrix:
     Raises:
         InvalidInput: t is not finite.
     """
+    L = _typed("m", m, MatryoshkanMatrix).dense()
     t = _real("t", t)
-    L = m.dense()
 
     def rows() -> np.ndarray:
         E = np.zeros_like(L)
@@ -559,7 +576,7 @@ def eigendecompose(m: MatryoshkanMatrix) -> EigenPair:
     with a 1 on the diagonal; the shifted diagonal inverts entrywise.
     Requires a distinct spectrum, since a repeated diagonal can be defective.
     """
-    pairs = m.coincident_pairs()
+    pairs = _typed("m", m, MatryoshkanMatrix).coincident_pairs()
     if pairs:
         raise DegenerateSpectrum(pairs)
     d = m.diagonal()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overflow_order, _same_order
+from .core import MatryoshkanMatrix, _check_order, _in_range, _overflow, _overflow_order, _same_order, _typed
 from .errors import NonStationary
 
 __all__ = [
@@ -41,7 +41,8 @@ _GRADE_EXP = 1000
 
 
 def _check_initial(system: CoefficientSystem, init: InitialMomentVector) -> None:
-    _same_order("init", init.order, system.order)
+    order = _typed("system", system, CoefficientSystem).order
+    _same_order("init", _typed("init", init, InitialMomentVector).order, order)
     _in_range("initial moment", init.powers)
 
 
@@ -58,7 +59,8 @@ class CoefficientSystem:
     theta0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta0", core._frozen("theta0", self.theta0, self.theta.order))
+        order = _typed("theta", self.theta, MatryoshkanMatrix).order
+        object.__setattr__(self, "theta0", core._frozen("theta0", self.theta0, order))
 
     @property
     def order(self) -> int:
@@ -128,28 +130,34 @@ def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     the hold binds on every finished row; or against min(P, W + log hold)
     where it binds on some.  All read -inf for rows not yet final.  Rounding
     is monotone, so every candidate keeps the bits of
-    (min(log(t/(p_j+1)), log hold) + log w_j) + log|a_kj|.
+    (min(log(t/(p_j+1)), log hold) + log w_j) + log|a_kj|.  The ufuncs and
+    the candidate's methods are bound once, since at n = 10 their dispatch
+    outweighs the arithmetic.
     """
     magnitude = np.abs(A)  # log 0 = -inf without numpy's slow path; NaN stays NaN
-    log_a = np.log(magnitude, out=np.full(A.shape, -math.inf), where=magnitude != 0.0)
-    log_hold = (-np.diagonal(log_a)).tolist()
+    log_a = np.empty(A.shape)
+    log_a.fill(-math.inf)
+    np.log(magnitude, out=log_a, where=magnitude != 0.0)
+    log_hold = (-log_a.diagonal()).tolist()
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(v)).tolist()
     log_t, size = math.log(t), A.shape[0]
-    P, W = np.full((2, size), -math.inf)
+    P, W = PW = np.empty((2, size))
+    PW.fill(-math.inf)
     P[0], W[0] = log_t + log_v[0], log_v[0]
     jumps, cand = [0] * size, np.empty(size)
+    add, minimum, argmax, item = np.add, np.minimum, cand.argmax, cand.item
     held = log_t  # the least log(t/(p_j+1)) of the finished rows
     for k, row, hold, w in zip(range(1, size), log_a[1:], log_hold[1:], log_v[1:]):
         if hold >= log_t:  # no log(t/(p_j+1)) exceeds log t, so the hold does not bind
-            np.add(P, row, out=cand)
+            add(P, row, out=cand)
         else:
-            np.add(W, hold, out=cand)
+            add(W, hold, out=cand)
             if hold > held:  # the hold binds on some finished rows only
-                np.minimum(P, cand, out=cand)
-            cand += row
-        j = int(cand.argmax())
-        best = cand.item(j)
+                minimum(P, cand, out=cand)  # a positional out is deprecated and slower
+            add(cand, row, out=cand)
+        j = argmax()
+        best = item(j)
         log_next = log_t  # log(t/(p+1)) at p = 0, exactly
         if best > w:
             w, jumps[k] = best, jumps[j] + 1
@@ -158,8 +166,10 @@ def _grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
                 held = log_next
         W[k] = w
         P[k] = log_next + w
-    e = np.where(np.isfinite(W), np.rint(W / math.log(2.0)), -_GRADE_EXP)
-    return np.clip(e, -_GRADE_EXP, _GRADE_EXP).astype(np.int32)
+    e = np.rint(W / math.log(2.0))
+    e.clip(-_GRADE_EXP, _GRADE_EXP, out=e)
+    e[~np.isfinite(W)] = -_GRADE_EXP
+    return e.astype(np.int32)
 
 
 def transient_vector(
@@ -212,13 +222,13 @@ def transient_scalar(
     system: CoefficientSystem, init: InitialMomentVector, t: float, n: int
 ) -> float:
     """The n-th moment at time t, from the leading order-n system alone."""
-    n = core._integer("n", n, 1, system.order)
-    head = InitialMomentVector(init.powers[:n])
+    n = core._integer("n", n, 1, _typed("system", system, CoefficientSystem).order)
+    head = InitialMomentVector(_typed("init", init, InitialMomentVector).powers[:n])
     return float(transient_vector(system.leading(n), head, t).values[-1])
 
 
 def _require_stable(system: CoefficientSystem) -> None:
-    d = system.theta.diagonal()
+    d = _typed("system", system, CoefficientSystem).theta.diagonal()
     unstable = np.flatnonzero(d >= 0.0)
     if unstable.size:
         k = int(unstable[0])
@@ -237,7 +247,7 @@ def steady_vector(system: CoefficientSystem) -> MomentVector:
 def steady_nth(system: CoefficientSystem, n: int) -> float:
     """The n-th stationary moment, from the leading order-n system alone, so
     only the first n diagonal entries need to be negative."""
-    n = core._integer("n", n, 1, system.order)
+    n = core._integer("n", n, 1, _typed("system", system, CoefficientSystem).order)
     return steady_vector(system.leading(n)).values[-1]
 
 
@@ -258,7 +268,7 @@ class ValidationReport:
 def validate(system: CoefficientSystem) -> ValidationReport:
     """Report the zero, positive and coincident diagonals and, for a stable
     system, the first order at which ``steady_vector`` overflows."""
-    d = system.theta.diagonal()
+    d = _typed("system", system, CoefficientSystem).theta.diagonal()
     zero = tuple((np.flatnonzero(d == 0.0) + 1).tolist())
     positive = tuple((np.flatnonzero(d > 0.0) + 1).tolist())
     stable = not zero and not positive

@@ -5,7 +5,7 @@ with affine jump rates, affine drift, quadratic diffusion coefficient and
 multiplicative collapse.  ``build`` applies that generator to x^k, expanding
 jump terms by the binomial theorem, and returns the matrix/shift pair of the
 moment ODE system plus the initial moment powers.  A new family is one more
-``generator()`` map.
+``_generator`` map.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -255,8 +256,19 @@ class ExplicitJumps(JumpMoments):
 # -- parameter records ------------------------------------------------------
 
 
+class _Record:
+    """A family's frozen parameter record.  Its generic generator is a pure
+    function of the fields, so the ``_generator`` property derives it once,
+    on the first ``generator()``, and keeps it in the instance dict: equality,
+    hashing and ``dataclasses.replace`` read the fields alone, and two threads
+    that race derive equal records."""
+
+    def generator(self) -> GenericGeneratorSpec:
+        return self._generator
+
+
 @dataclass(frozen=True)
-class HawkesSpec:
+class HawkesSpec(_Record):
     """Self-exciting intensity: jumps by alpha at arrivals, decays at rate
     beta toward the baseline.  Stationary only when beta > alpha."""
 
@@ -272,7 +284,8 @@ class HawkesSpec:
         x0 = self.lambda_star if self.x0 is None else _real("x0", self.x0, 0, above=True)
         object.__setattr__(self, "x0", x0)
 
-    def generator(self) -> GenericGeneratorSpec:
+    @cached_property
+    def _generator(self) -> GenericGeneratorSpec:
         blam = _real("beta * lambda_star", self.beta * self.lambda_star)
         return GenericGeneratorSpec(
             coeffs=(0.0, 1.0, 0.0, 0.0, blam, -self.beta, 0.0, 0.0, 0.0, 0.0),
@@ -282,7 +295,7 @@ class HawkesSpec:
 
 
 @dataclass(frozen=True)
-class ShotNoiseSpec:
+class ShotNoiseSpec(_Record):
     """Exponentially decaying superposition of random jumps at Poisson epochs."""
 
     rate: float
@@ -296,7 +309,8 @@ class ShotNoiseSpec:
         _law("jumps", self.jumps)
         _real("x0", self.x0, 0)
 
-    def generator(self) -> GenericGeneratorSpec:
+    @cached_property
+    def _generator(self) -> GenericGeneratorSpec:
         return GenericGeneratorSpec(
             coeffs=(self.rate, 0.0, 0.0, 0.0, 0.0, -self.decay, 0.0, 0.0, 0.0, 0.0),
             up=self.jumps,
@@ -305,7 +319,7 @@ class ShotNoiseSpec:
 
 
 @dataclass(frozen=True)
-class ItoSpec:
+class ItoSpec(_Record):
     """Diffusion with drift mu + theta*x and volatility sigma * x^(gamma/2).
 
     gamma in {0, 1, 2} admits an exact moment system.  A fractional gamma
@@ -326,7 +340,8 @@ class ItoSpec:
         _real("gamma", self.gamma, 0, 2, error=UnsupportedGamma)
         _real("x0", self.x0)
 
-    def generator(self) -> GenericGeneratorSpec:
+    @cached_property
+    def _generator(self) -> GenericGeneratorSpec:
         """The diffusion term (sigma^2/2) x^gamma takes coefficient a(6+gamma)."""
         if self.gamma not in (0.0, 1.0, 2.0):
             raise UnsupportedGamma(
@@ -342,7 +357,7 @@ class ItoSpec:
 
 
 @dataclass(frozen=True)
-class GrowthCollapseSpec:
+class GrowthCollapseSpec(_Record):
     """Linear growth punctuated by multiplicative collapses at Poisson epochs.
 
     The collapse fraction defaults to Uniform(0, 1); any moment provider on
@@ -360,7 +375,8 @@ class GrowthCollapseSpec:
         _real("x0", self.x0, 0)
         _law("collapse", self.collapse)
 
-    def generator(self) -> GenericGeneratorSpec:
+    @cached_property
+    def _generator(self) -> GenericGeneratorSpec:
         return GenericGeneratorSpec(
             coeffs=(0.0, 0.0, 0.0, 0.0, self.growth, 0.0, 0.0, 0.0, 0.0, self.collapse_rate),
             collapse=self.collapse,
@@ -369,7 +385,7 @@ class GrowthCollapseSpec:
 
 
 @dataclass(frozen=True)
-class EphemeralSpec:
+class EphemeralSpec(_Record):
     """Birth-death count where each active unit adds jump to the arrival rate
     until an exponential expiry at rate expiry (> jump)."""
 
@@ -387,7 +403,8 @@ class EphemeralSpec:
             raise InvalidInput(f"x0 must be an integer, got {x0!r}")
         object.__setattr__(self, "x0", int(x0))
 
-    def generator(self) -> GenericGeneratorSpec:
+    @cached_property
+    def _generator(self) -> GenericGeneratorSpec:
         """Arrivals step up by one at rate baseline + jump x; expiries step
         down by one at rate expiry x."""
         return GenericGeneratorSpec(
@@ -503,7 +520,7 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
                 np.negative(moments[1::2], out=moments[1::2])
             pascal, gap = _tables(n)
             # take gathers through the strided view at about half the cost of indexing
-            e, term = np.take(moments, gap[1 : n + 1, :n]), np.empty((n, n))
+            e, term = moments.take(gap[1 : n + 1, :n]), np.empty((n, n))
             for rate, columns in ((a[r], coef[:, :-1]), (a[r + 1], coef[:, 1:])):
                 if rate != 0.0:
                     np.multiply(rate, pascal, out=term)

@@ -13,7 +13,8 @@ engine and core ran before their rows lost their per-call numpy overhead;
 `reference_euler_solve` and `reference_thinning_kernel` are the Euler loop
 and the thinning kernel before their steps and iterations lost theirs.
 `reference_taylor_exp` is the Taylor kernel as it was before its temporaries
-moved into a per-thread scratch buffer, allocating them on every call.
+moved into a per-thread scratch buffer, allocating them on every call, and
+before its product was chosen once per call.
 This module holds no tests.
 """
 
@@ -22,8 +23,8 @@ import math
 import numpy as np
 
 from matryoshkan.core import (
-    _TAYLOR_COEF, _VECTOR_SQUARINGS, MatryoshkanMatrix, _check_steps, _overflow, _overflow_order, _taylor_degree,
-    _tril_matmul,
+    _SPLIT_ORDER, _TAYLOR_COEF, _VECTOR_SQUARINGS, MatryoshkanMatrix, _check_steps, _overflow, _overflow_order,
+    _taylor_degree,
 )
 from matryoshkan.engine import CoefficientSystem, InitialMomentVector, MomentVector
 from matryoshkan.errors import InvalidInput, SingularMatrix, UnsupportedGamma
@@ -295,6 +296,20 @@ def reference_grading(A: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
             log_next[k] = log_t - math.log(jumps[k] + 1)
     e = np.where(np.isfinite(log_w), np.rint(log_w / math.log(2.0)), -1000)
     return np.clip(e, -1000, 1000).astype(np.int64)
+
+
+def _tril_matmul(X: np.ndarray, Y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """X @ Y into ``out`` for lower-triangular X and Y, testing the order on
+    every product: three gemms from _SPLIT_ORDER up, one below."""
+    n = X.shape[0]
+    if n < _SPLIT_ORDER:
+        return np.matmul(X, Y, out=out)
+    h = n // 2
+    np.matmul(X[:h, :h], Y[:h, :h], out=out[:h, :h])
+    np.matmul(X[h:, h:], Y[h:, h:], out=out[h:, h:])
+    np.matmul(X[h:], Y[:, :h], out=out[h:, :h])
+    out[:h, h:] = 0.0
+    return out
 
 
 def reference_taylor_exp(B: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:

@@ -377,7 +377,7 @@ def test_triangular_product_matches_dense_product(n):
     X = np.tril(rng.standard_normal((n, n)))
     Y = np.tril(rng.standard_normal((n, n)))
     out = np.full((n, n), np.nan)
-    assert core._tril_matmul(X, Y, out) is out
+    assert core._tril_matmul(n)(X, Y, out=out) is out
     assert np.all(np.triu(out, 1) == 0.0)
     bound = 2 * n * np.finfo(np.float64).eps * (np.abs(X) @ np.abs(Y))
     assert np.all(np.abs(out - X @ Y) <= bound)

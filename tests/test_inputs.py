@@ -120,6 +120,26 @@ _TABLE = [
      [(mk.InitialMomentVector([1.0]), InvalidDimension)]),
     ("m_closed", lambda v: mk.error_metrics(mk.MomentVector([1.0, 2.0, 3.0]), v),
      [(mk.MomentVector([1.0]), InvalidDimension)]),
+    # operands of another type: an array or a list where a matrix or a
+    # record belongs
+    ("theta", lambda v: mk.CoefficientSystem(v, [1.0, 2.0]), [(np.eye(2), InvalidInput)]),
+    ("x", lambda v: mk.add(v, _M), [(np.eye(3), InvalidInput)]),
+    ("y", lambda v: mk.add(_M, v), [(np.eye(3), InvalidInput)]),
+    ("y", lambda v: mk.multiply(_M, v), [(np.eye(3), InvalidInput)]),
+    ("m", lambda v: mk.solve_lower(v, [1.0, 2.0]), [(np.eye(2), InvalidInput)]),
+    ("base", lambda v: mk.extend(v, [1.0, 2.0], 1.0), [(np.eye(2), InvalidInput)]),
+    ("m", lambda v: mk.inverse(v), [(np.eye(2), InvalidInput)]),
+    ("m", lambda v: mk.power(v, 2), [(np.eye(2), InvalidInput)]),
+    ("m", lambda v: mk.exp_scaled(v, 1.0), [(np.eye(2), InvalidInput)]),
+    ("m", lambda v: mk.eigendecompose(v), [(np.eye(2), InvalidInput)]),
+    ("init", lambda v: mk.transient_vector(_SYSTEM, v, 1.0), [([1.0, 1.0], InvalidInput)]),
+    ("system", lambda v: mk.transient_vector(v, _INIT, 1.0), [((_M, [1.0, 2.0, 3.0]), InvalidInput)]),
+    ("init", lambda v: mk.transient_scalar(_SYSTEM, v, 1.0, 2), [([1.0, 1.0, 1.0], InvalidInput)]),
+    ("system", lambda v: mk.transient_scalar(v, _INIT, 1.0, 2), [(_M, InvalidInput)]),
+    ("init", lambda v: mk.euler_solve(_SYSTEM, v, mk.EulerConfig(0.1, 1.0)), [(_INIT.powers, InvalidInput)]),
+    ("system", lambda v: mk.steady_vector(v), [(_M, InvalidInput)]),
+    ("system", lambda v: mk.steady_nth(v, 2), [(_M, InvalidInput)]),
+    ("system", lambda v: mk.validate(v), [(_M, InvalidInput)]),
     # record fields
     ("lambda_star", lambda v: mk.HawkesSpec(v, 1.0, 2.0), _bad_real(0.0)),
     ("alpha", lambda v: mk.HawkesSpec(1.0, v, 2.0), _bad_real(-1.0)),

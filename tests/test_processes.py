@@ -636,6 +636,60 @@ def test_concurrent_builds_grow_the_shared_pascal_buffer_once(monkeypatch):
         assert errors == [] and results == expected, attempt
 
 
+_RECORDS = [spec for spec, _ in FIXTURES.values()] + [
+    mk.HawkesSpec(1.0, 1.0, 2.0, x0=0.5),
+    mk.GenericGeneratorSpec((1.0, 0.0, 0.0, 0.0, 0.5, -1.0, 0.0, 0.0, 0.0, 0.5),
+                            up=mk.ExponentialJumps(2.0), collapse=mk.UniformJumps(), x0=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", _RECORDS, ids=lambda spec: type(spec).__name__)
+def test_a_record_derives_its_generator_once_and_stays_the_same_record(spec):
+    # a record keeps the generator it derived: builds from it repeat the
+    # bits of a build from a fresh equal record, and the record's fields,
+    # equality, hash and replace read as before the first build
+    fresh = replace(spec)
+    before = (repr(spec), hash(spec))
+    first, second = _bits(mk.build(spec, 12)), _bits(mk.build(spec, 12))
+    assert first == second == _bits(mk.build(replace(spec), 12))
+    assert spec.generator() is spec.generator()
+    assert (repr(spec), hash(spec)) == before
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert replace(spec) == spec and _bits(mk.build(replace(spec), 5)) == _bits(mk.build(fresh, 5))
+    if isinstance(spec, mk.GenericGeneratorSpec):
+        assert spec.generator() is spec
+
+
+def test_builds_from_one_record_on_two_threads_are_identical():
+    # two threads race on a record's first generator() and then build from
+    # it; every system is the one a single thread builds
+    specs = [mk.HawkesSpec(1.0, 1.0, 2.0), mk.GrowthCollapseSpec(1.0, 0.5)]
+    want = [_bits(mk.build(replace(spec), 30)) for spec in specs]
+    results, errors = [], []
+
+    def work(spec, i):
+        try:
+            results.append((i, _bits(mk.build(spec, 30))))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    for _ in range(10):
+        shared = [replace(spec) for spec in specs]
+        threads = [threading.Thread(target=work, args=(shared[i], i)) for i in (0, 0, 1, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 40
+    assert all(bits == want[i] for i, bits in results)
+
+
 def test_build_rejects_unsupported_objects():
     with pytest.raises(InvalidInput):
         mk.build(object(), 3)
