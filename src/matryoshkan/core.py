@@ -174,8 +174,10 @@ def _shaped(what: str, values, ndim: int, order=None, nan: bool = True) -> np.nd
     """``values`` as float64: a real number (``ndim`` 0), a vector (1) or a
     square matrix (2), of ``order`` where given, and never flattened.
     Non-numbers are refused as by ``_real``, and NaN unless ``nan``: a NaN
-    that enters a matrix or a sample would read later as Overflow.
-    Infinities pass, for the range checks to report."""
+    that enters a matrix or a sample would read later as Overflow.  Only
+    ``theta0`` and ``rhs`` take NaN, since ``build``'s own inf - inf in a
+    shift must still read as Overflow.  Infinities pass, for the range
+    checks to report."""
     a = np.asarray(values)
     if a.dtype.kind not in "biuf" or (not nan and np.isnan(a).any()):
         raise InvalidInput(f"{what} must be real numbers, got {values!r}")

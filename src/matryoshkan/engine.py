@@ -100,7 +100,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", core._frozen("values", self.values))
+        object.__setattr__(self, "values", core._frozen("values", self.values, nan=False))
 
     @property
     def order(self) -> int:

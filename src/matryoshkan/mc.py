@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_ENTRIES, _check_steps, _integer, _overflow, _overflow_order, _real, _shaped
+from .core import _MAX_ENTRIES, _check_steps, _integer, _overflow, _overflow_order, _real, _shaped, _typed
 from .errors import EstimatePrecisionWarning, InvalidInput
 from .processes import GenericGeneratorSpec, ItoSpec, ProcessSpec
 
@@ -75,9 +75,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
     """Terminal values of cfg.paths independent paths at cfg.horizon; a path
     that leaves the double range raises Overflow."""
-    if not isinstance(spec, ProcessSpec):
-        raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
-    if isinstance(spec, ItoSpec):
+    if isinstance(_typed("spec", spec, ProcessSpec), ItoSpec):
         kernel = _diffusion_kernel(spec, cfg)
     else:
         kernel = _thinning_kernel(spec.generator(), cfg.horizon)
@@ -160,6 +158,10 @@ def _thinning_kernel(g: GenericGeneratorSpec, horizon: float):
         out = np.empty(m)
         live = np.arange(m)
         x, t = np.full(m, float(g.x0)), np.zeros(m)
+        # a law that cannot be sampled is refused before the first draw,
+        # whatever the seed; a zero-size draw takes no randomness
+        for _, jumps, _ in events:
+            jumps.sample(rng, 0)
         with np.errstate(all="ignore"):
             while live.size:
                 window = horizon - t

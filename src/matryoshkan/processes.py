@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _check_order, _checked, _in_range, _integer, _real, _reals
+from .core import MatryoshkanMatrix, _check_order, _checked, _in_range, _integer, _real, _reals, _typed
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     InsufficientMoments,
@@ -76,15 +76,6 @@ def _tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pascal[:n, :n], gap
 
 
-def _squared(x: float) -> float:
-    """x**2, or inf where Python's float power raises OverflowError; x * x
-    would round differently."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 # -- jump-size moment providers --------------------------------------------
 
 
@@ -104,12 +95,6 @@ class JumpMoments:
         """``size`` independent draws; a law whose every draw is the same
         value may return that one float, which the simulators broadcast."""
         raise InvalidInput(f"{type(self).__name__} cannot be sampled")
-
-
-def _law(what: str, law, optional=False) -> JumpMoments | None:
-    if isinstance(law, JumpMoments) or (optional and law is None):
-        return law
-    raise InvalidInput(f"{what} must be a JumpMoments, got {law!r}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +220,7 @@ class ExplicitJumps(JumpMoments):
             return
         padded = (1.0,) + vals
         for k in range(1, len(padded) - 1):
-            if padded[k + 1] * padded[k - 1] < _squared(padded[k]) * (1.0 - 1e-9):
+            if padded[k + 1] * padded[k - 1] < padded[k] * padded[k] * (1.0 - 1e-9):
                 warnings.warn(
                     f"explicit moment sequence is not log-convex at order {k}",
                     MomentSequenceWarning,
@@ -256,19 +241,20 @@ class ExplicitJumps(JumpMoments):
 # -- parameter records ------------------------------------------------------
 
 
-class _Record:
-    """A family's frozen parameter record.  Its generic generator is a pure
-    function of the fields, so the ``_generator`` property derives it once,
-    on the first ``generator()``, and keeps it in the instance dict: equality,
-    hashing and ``dataclasses.replace`` read the fields alone, and two threads
-    that race derive equal records."""
+class ProcessSpec:
+    """The one base of the process records: a family's frozen parameter
+    record, or the generic generator itself.  A family's generic generator
+    is a pure function of the fields, so the ``_generator`` property derives
+    it once, on the first ``generator()``, and keeps it in the instance dict:
+    equality, hashing and ``dataclasses.replace`` read the fields alone, and
+    two threads that race derive equal records."""
 
     def generator(self) -> GenericGeneratorSpec:
         return self._generator
 
 
 @dataclass(frozen=True)
-class HawkesSpec(_Record):
+class HawkesSpec(ProcessSpec):
     """Self-exciting intensity: jumps by alpha at arrivals, decays at rate
     beta toward the baseline.  Stationary only when beta > alpha."""
 
@@ -295,7 +281,7 @@ class HawkesSpec(_Record):
 
 
 @dataclass(frozen=True)
-class ShotNoiseSpec(_Record):
+class ShotNoiseSpec(ProcessSpec):
     """Exponentially decaying superposition of random jumps at Poisson epochs."""
 
     rate: float
@@ -306,7 +292,7 @@ class ShotNoiseSpec(_Record):
     def __post_init__(self):
         _real("rate", self.rate, 0, above=True)
         _real("decay", self.decay, 0, above=True)
-        _law("jumps", self.jumps)
+        _typed("jumps", self.jumps, JumpMoments)
         _real("x0", self.x0, 0)
 
     @cached_property
@@ -319,7 +305,7 @@ class ShotNoiseSpec(_Record):
 
 
 @dataclass(frozen=True)
-class ItoSpec(_Record):
+class ItoSpec(ProcessSpec):
     """Diffusion with drift mu + theta*x and volatility sigma * x^(gamma/2).
 
     gamma in {0, 1, 2} admits an exact moment system.  A fractional gamma
@@ -349,7 +335,8 @@ class ItoSpec(_Record):
                 " fractional gamma can only be simulated"
             )
         diffusion = [0.0, 0.0, 0.0]
-        diffusion[int(self.gamma)] = _real("sigma**2 / 2", _squared(float(self.sigma)) / 2)
+        sigma = float(self.sigma)
+        diffusion[int(self.gamma)] = _real("sigma**2 / 2", sigma * sigma / 2)
         return GenericGeneratorSpec(
             coeffs=(0.0, 0.0, 0.0, 0.0, self.mu, self.theta, *diffusion, 0.0),
             x0=self.x0,
@@ -357,7 +344,7 @@ class ItoSpec(_Record):
 
 
 @dataclass(frozen=True)
-class GrowthCollapseSpec(_Record):
+class GrowthCollapseSpec(ProcessSpec):
     """Linear growth punctuated by multiplicative collapses at Poisson epochs.
 
     The collapse fraction defaults to Uniform(0, 1); any moment provider on
@@ -373,7 +360,7 @@ class GrowthCollapseSpec(_Record):
         _real("growth", self.growth, 0, above=True)
         _real("collapse_rate", self.collapse_rate, 0, above=True)
         _real("x0", self.x0, 0)
-        _law("collapse", self.collapse)
+        _typed("collapse", self.collapse, JumpMoments)
 
     @cached_property
     def _generator(self) -> GenericGeneratorSpec:
@@ -385,7 +372,7 @@ class GrowthCollapseSpec(_Record):
 
 
 @dataclass(frozen=True)
-class EphemeralSpec(_Record):
+class EphemeralSpec(ProcessSpec):
     """Birth-death count where each active unit adds jump to the arrival rate
     until an exponential expiry at rate expiry (> jump)."""
 
@@ -416,7 +403,7 @@ class EphemeralSpec(_Record):
 
 
 @dataclass(frozen=True)
-class GenericGeneratorSpec:
+class GenericGeneratorSpec(ProcessSpec):
     """Generator with affine up/down jump rates (a0 + a1 x, a2 + a3 x), affine
     drift (a4 + a5 x), quadratic diffusion coefficient (a6 + a7 x + a8 x^2)
     and collapse x -> C x at rate a9; a non-zero rate term needs its law."""
@@ -438,21 +425,14 @@ class GenericGeneratorSpec:
             ("down", c[2] != 0.0 or c[3] != 0.0, "down-jump moments required for the a2/a3 terms"),
             ("collapse", c[9] != 0.0, "collapse moments required for the a9 term"),
         ):
-            if _law(name, getattr(self, name), optional=True) is None and active:
+            law = getattr(self, name)
+            if law is not None:
+                _typed(name, law, JumpMoments)
+            elif active:
                 raise InsufficientMoments(term)
 
     def generator(self) -> GenericGeneratorSpec:
         return self
-
-
-ProcessSpec = (
-    HawkesSpec
-    | ShotNoiseSpec
-    | ItoSpec
-    | GrowthCollapseSpec
-    | EphemeralSpec
-    | GenericGeneratorSpec
-)
 
 
 # -- Pascal matrices --------------------------------------------------------
@@ -499,8 +479,7 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     Terms are added in the order a0, ..., a9, each product formed as
     a * C * E, so every entry is the same sum as when built row by row.
     """
-    if not isinstance(spec, ProcessSpec):
-        raise InvalidInput(f"unsupported process spec: {type(spec).__name__}")
+    _typed("spec", spec, ProcessSpec)
     _check_order(n)
     spec = spec.generator()
     a = spec.coeffs

@@ -109,7 +109,7 @@ def build_ito(spec, n: int) -> tuple[CoefficientSystem, InitialMomentVector]:
             " fractional gamma can only be simulated"
         )
     g = int(spec.gamma)
-    half = spec.sigma**2 / 2
+    half = spec.sigma * spec.sigma / 2
     rows = []
     theta0 = np.zeros(n)
     theta0[0] = spec.mu

@@ -1,7 +1,7 @@
 """Every public count and real parameter, every array's shape and order, and
-every law field, against the values it must refuse: each refusal is a library
-error whose message opens with the parameter's name.  New cases are rows of
-``_TABLE``."""
+every spec and law field, against the values it must refuse: each refusal is
+a library error whose message opens with the parameter's name.  New cases
+are rows of ``_TABLE``."""
 
 import math
 
@@ -46,6 +46,12 @@ def _bad_shape(ndim, order=None):
     bad += [np.ones((size, size + 1))] if ndim == 2 else []
     bad += [] if order is None else [np.ones((order + 1,) * ndim)]
     return [(b, InvalidDimension) for b in bad]
+
+
+def _bad_spec():
+    """Bad values of a process spec: an object, a number, a family's name
+    and None."""
+    return [(object(), InvalidInput), (1.0, InvalidInput), ("hawkes", InvalidInput), (None, InvalidInput)]
 
 
 def _bad_law(optional=False):
@@ -109,7 +115,7 @@ _TABLE = [
     ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3) + _bad_shape(1, 3)),
     ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3) + _bad_shape(1, 3)),
     ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1)),
-    ("values", lambda v: mk.MomentVector(v), _bad_array(3) + _bad_shape(1)),
+    ("values", lambda v: mk.MomentVector(v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1)),
     ("terminals", lambda v: mk.estimate_moments(v, 2),
      _bad_array(3) + [([math.nan, 1.0, 2.0], InvalidInput), (np.ones((2, 2)), InvalidDimension)] + _bad_shape(1)),
     # operands of another order
@@ -170,7 +176,9 @@ _TABLE = [
     ("scale", lambda v: mk.LogNormalJumps(0.0, v), _bad_real(-1.0)),
     ("values[1]", lambda v: mk.ExplicitJumps((1.0, v)), _bad_real()),
     ("values[0]", lambda v: mk.ExplicitJumps(v), [("123", InvalidInput)]),
-    # law fields
+    # specs and law fields
+    ("spec", lambda v: mk.build(v, 3), _bad_spec()),
+    ("spec", lambda v: mk.simulate(v, mk.SimConfig(paths=10, horizon=1.0, seed=0)), _bad_spec()),
     ("jumps", lambda v: mk.ShotNoiseSpec(1.0, 4.0, jumps=v), _bad_law()),
     ("collapse", lambda v: mk.GrowthCollapseSpec(1.0, 1.0, collapse=v), _bad_law()),
     ("up", lambda v: mk.GenericGeneratorSpec((1.0,) + (0.0,) * 9, up=v), _bad_law(optional=True)),

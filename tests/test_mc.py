@@ -238,11 +238,6 @@ def test_thinning_refusals_match_the_reference_kernel(monkeypatch):
     }
 
 
-def test_simulate_rejects_unsupported_objects():
-    with pytest.raises(InvalidInput, match="unsupported process spec: object"):
-        mk.simulate(object(), mk.SimConfig(paths=10, horizon=1.0, seed=0))
-
-
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
 def test_diffusion_at_time_zero_is_the_initial_state(gamma):
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1.0, gamma=gamma, x0=2.5)
@@ -286,6 +281,17 @@ def test_explosive_rate_bound_raises_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(Overflow):
             mk.simulate(spec, mk.SimConfig(paths=10, horizon=1000.0, seed=0))
+
+
+@pytest.mark.parametrize("role", ["up", "collapse"])
+def test_a_law_that_cannot_be_sampled_is_refused_whatever_the_seed(role):
+    # at rate 0.01 few seeds see an event of the law's kind; a law asked for
+    # a draw only at such an event let most seeds return values
+    coeffs = (0.01,) + (0.0,) * 9 if role == "up" else (0.0,) * 9 + (0.01,)
+    spec = mk.GenericGeneratorSpec(coeffs, x0=1.0, **{role: mk.ExplicitJumps((0.5, 0.5))})
+    for seed in range(20):
+        with pytest.raises(InvalidInput, match="^ExplicitJumps cannot be sampled$"):
+            mk.simulate(spec, mk.SimConfig(paths=10, horizon=1.0, seed=seed))
 
 
 def test_explicit_moments_cannot_be_sampled():

@@ -373,6 +373,13 @@ def test_ito_builder_matrices():
     assert osys.theta.dense()[2, 0] == 3.0  # (sigma^2/2) k(k-1) band two below
 
 
+def test_ito_diffusion_coefficient_is_the_correctly_rounded_half_square():
+    # Python's sigma**2 (libm pow) rounds this square an ulp away from the
+    # exact one; sigma * sigma rounds correctly
+    sigma = 9.296593
+    assert mk.ItoSpec(0.0, -1.0, sigma, 0.0).generator().coeffs[6] == float(Fraction(sigma) ** 2 / 2)
+
+
 def test_ito_rejects_fractional_gamma():
     spec = mk.ItoSpec(mu=0.0, theta=-1.0, sigma=1.0, gamma=1.5)
     with pytest.raises(UnsupportedGamma):
@@ -660,6 +667,17 @@ def test_a_record_derives_its_generator_once_and_stays_the_same_record(spec):
         assert spec.generator() is spec
 
 
+def test_every_record_is_a_process_spec():
+    # the one base that build and simulate admit; it is no public name
+    for kind in (mk.HawkesSpec, mk.ShotNoiseSpec, mk.ItoSpec, mk.GrowthCollapseSpec, mk.EphemeralSpec,
+                 mk.GenericGeneratorSpec):
+        assert issubclass(kind, processes.ProcessSpec)
+    assert "ProcessSpec" not in processes.__all__
+    for call in (lambda: mk.build(object(), 3), lambda: mk.simulate(object(), mk.SimConfig(10, 1.0, 0))):
+        with pytest.raises(InvalidInput, match=r"^spec must be a ProcessSpec, got object$"):
+            call()
+
+
 def test_builds_from_one_record_on_two_threads_are_identical():
     # two threads race on a record's first generator() and then build from
     # it; every system is the one a single thread builds
@@ -690,17 +708,15 @@ def test_builds_from_one_record_on_two_threads_are_identical():
     assert all(bits == want[i] for i, bits in results)
 
 
-def test_build_rejects_unsupported_objects():
-    with pytest.raises(InvalidInput):
-        mk.build(object(), 3)
-
-
 def test_order_below_one_is_rejected():
     # one order check, core's, serves the builder, the initial vector, the
-    # Pascal matrices and the constructors; its error is an InvalidInput too
+    # Pascal matrices and the constructors; its error is an InvalidInput too.
+    # build checks the order before the record's generator, whose fractional
+    # gamma would raise UnsupportedGamma
     assert issubclass(InvalidDimension, InvalidInput)
     for make in (
         lambda: mk.build(mk.HawkesSpec(1.0, 1.0, 2.0), 0),
+        lambda: mk.build(mk.ItoSpec(1.0, -1.0, 0.5, 1.5), 0),
         lambda: mk.InitialMomentVector.from_state(1.0, 0),
         lambda: mk.pascal_matryoshkan(0, 1.0),
         lambda: mk.pascal_lower(0, 1.0),
