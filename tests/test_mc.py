@@ -238,6 +238,11 @@ def test_thinning_refusals_match_the_reference_kernel(monkeypatch):
     }
 
 
+def test_simulate_rejects_unsupported_objects():
+    with pytest.raises(InvalidInput, match=r"^spec must be a ProcessSpec, got object$"):
+        mk.simulate(object(), mk.SimConfig(paths=10, horizon=1.0, seed=0))
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0])
 def test_diffusion_at_time_zero_is_the_initial_state(gamma):
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1.0, gamma=gamma, x0=2.5)
