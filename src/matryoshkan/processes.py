@@ -247,7 +247,12 @@ class ProcessSpec:
     is a pure function of the fields, so the ``_generator`` property derives
     it once, on the first ``generator()``, and keeps it in the instance dict:
     equality, hashing and ``dataclasses.replace`` read the fields alone, and
-    two threads that race derive equal records."""
+    two threads that race derive equal records.  The base alone derives
+    nothing, so a bare ``ProcessSpec()`` is refused as a spec."""
+
+    @property
+    def _generator(self) -> GenericGeneratorSpec:
+        raise InvalidInput(f"spec must be a family record or a GenericGeneratorSpec, got {type(self).__name__}")
 
     def generator(self) -> GenericGeneratorSpec:
         return self._generator

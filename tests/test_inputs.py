@@ -10,6 +10,7 @@ import numpy as np
 import matryoshkan as mk
 from matryoshkan.core import _MAX_ENTRIES, _MAX_ORDER
 from matryoshkan.errors import InvalidDimension, InvalidInput, UnsupportedGamma
+from matryoshkan.processes import ProcessSpec
 
 
 def _bad_count(out_of_range=None, error=InvalidInput):
@@ -49,9 +50,10 @@ def _bad_shape(ndim, order=None):
 
 
 def _bad_spec():
-    """Bad values of a process spec: an object, a number, a family's name
-    and None."""
-    return [(object(), InvalidInput), (1.0, InvalidInput), ("hawkes", InvalidInput), (None, InvalidInput)]
+    """Bad values of a process spec: an object, a number, a family's name,
+    None and the bare base of the records."""
+    return [(object(), InvalidInput), (1.0, InvalidInput), ("hawkes", InvalidInput), (None, InvalidInput),
+            (ProcessSpec(), InvalidInput)]
 
 
 def _bad_law(optional=False):
