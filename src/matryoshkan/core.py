@@ -170,16 +170,14 @@ def _same_order(what: str, got: int, order: int) -> None:
         raise InvalidDimension(f"{what} must have order {order}, got {got}")
 
 
-def _shaped(what: str, values, ndim: int, order=None, nan: bool = True) -> np.ndarray:
+def _shaped(what: str, values, ndim: int, order=None) -> np.ndarray:
     """``values`` as float64: a real number (``ndim`` 0), a vector (1) or a
     square matrix (2), of ``order`` where given, and never flattened.
-    Non-numbers are refused as by ``_real``, and NaN unless ``nan``: a NaN
-    that enters a matrix or a sample would read later as Overflow.  Only
-    ``theta0`` and ``rhs`` take NaN, since ``build``'s own inf - inf in a
-    shift must still read as Overflow.  Infinities pass, for the range
-    checks to report."""
+    Non-numbers are refused as by ``_real``, and so is NaN, which would
+    read later as Overflow.  Infinities pass, for the range checks to
+    report."""
     a = np.asarray(values)
-    if a.dtype.kind not in "biuf" or (not nan and np.isnan(a).any()):
+    if a.dtype.kind not in "biuf" or np.isnan(a).any():
         raise InvalidInput(f"{what} must be real numbers, got {values!r}")
     if a.ndim != ndim or (ndim == 2 and a.shape[0] != a.shape[1]):
         raise InvalidDimension(f"{what} must be {_SHAPES[ndim]}, got shape {a.shape}")
@@ -198,9 +196,9 @@ def _typed(what: str, value, kind: type):
     return value
 
 
-def _frozen(what: str, values, order=None, nan: bool = True) -> np.ndarray:
+def _frozen(what: str, values, order=None) -> np.ndarray:
     """A read-only float64 copy of the vector ``values``, checked by ``_shaped``."""
-    out = _shaped(what, values, 1, order, nan).copy()
+    out = _shaped(what, values, 1, order).copy()
     out.setflags(write=False)
     return out
 
@@ -217,7 +215,7 @@ class MatryoshkanMatrix:
     __slots__ = ("order", "_data")
 
     def __init__(self, array):
-        a = _shaped("array", array, 2, nan=False)
+        a = _shaped("array", array, 2)
         _check_order(a.shape[0])
         if np.triu(a, 1).any():
             raise InvalidDimension("entries above the diagonal must be exactly zero")
@@ -246,7 +244,7 @@ class MatryoshkanMatrix:
 
     @classmethod
     def from_diagonal(cls, values) -> "MatryoshkanMatrix":
-        d = _shaped("values", values, 1, nan=False)
+        d = _shaped("values", values, 1)
         _check_order(d.shape[0])
         return cls._own(np.diag(d))
 
@@ -401,7 +399,7 @@ def solve_lower(m: MatryoshkanMatrix, rhs) -> np.ndarray:
     """Solve M x = rhs by forward substitution.
 
     Raises:
-        InvalidInput: rhs holds entries that are not numbers.
+        InvalidInput: rhs holds entries that are not numbers, or NaN.
         InvalidDimension: rhs is not a vector of the matrix's order.
         SingularMatrix: a diagonal entry is zero.
     """
@@ -478,7 +476,7 @@ def extend(
     With ``base=None`` and an empty row this is the order-1 base case.
     """
     n = 0 if base is None else _typed("base", base, MatryoshkanMatrix).order
-    r, d = _shaped("row", row, 1, n, nan=False), _shaped("diag", diag, 0, nan=False)
+    r, d = _shaped("row", row, 1, n), _shaped("diag", diag, 0)
     X = np.zeros((n + 1, n + 1))
     if base is not None:
         X[:n, :n] = base.dense()

@@ -78,7 +78,7 @@ class InitialMomentVector:
     powers: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", core._frozen("powers", self.powers, nan=False))
+        object.__setattr__(self, "powers", core._frozen("powers", self.powers))
 
     @classmethod
     def from_state(cls, x0: float, order: int) -> "InitialMomentVector":
@@ -100,7 +100,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", core._frozen("values", self.values, nan=False))
+        object.__setattr__(self, "values", core._frozen("values", self.values))
 
     @property
     def order(self) -> int:

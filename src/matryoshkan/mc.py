@@ -91,7 +91,7 @@ def simulate(spec: ProcessSpec, cfg: SimConfig) -> np.ndarray:
 def estimate_moments(terminals, max_order: int) -> list[MomentEstimate]:
     """Sample means of X^k, k = 1..max_order, with standard errors, in fixed
     path order."""
-    values = _shaped("terminals", terminals, 1, nan=False)
+    values = _shaped("terminals", terminals, 1)
     if values.size < 2:
         raise InvalidInput("at least two paths are needed for a standard error")
     max_order = _integer("max_order", max_order, 1)
@@ -214,11 +214,14 @@ def _diffusion_kernel(spec: ItoSpec, cfg: SimConfig):
             sd = abs(sigma) * math.sqrt(integral(2.0 * theta))
             return lambda rng, m: mean + sd * rng.standard_normal(m)
         if spec.gamma == 1.0 and mu > 0.0 and sigma > 0.0 and x0 >= 0.0:
-            scale = sigma**2 * integral(theta) / 4.0
-            df, nonc = 4.0 * mu / sigma**2, x0 * math.exp(theta * t) / scale
+            # sigma * sigma is the correctly rounded square, as ItoSpec's
+            scale = sigma * sigma * integral(theta) / 4.0
+            df, nonc = 4.0 * mu / (sigma * sigma), x0 * math.exp(theta * t) / scale
+            if not df > 0.0:  # the square past the double range, or df below it
+                raise OverflowError
             return lambda rng, m: scale * rng.noncentral_chisquare(df, nonc, m)
     except (OverflowError, ZeroDivisionError):
-        # sigma**2 may also underflow to 0 and be divided by
+        # the square may also underflow to 0 and be divided by
         raise _overflow(f"transition law at t = {t!r}") from None
 
     _check_steps("Euler-Maruyama steps", t / cfg.sim_step)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MatryoshkanMatrix, _check_order, _checked, _in_range, _integer, _real, _reals, _typed
+from .core import MatryoshkanMatrix, _check_order, _checked, _in_range, _integer, _overflow, _real, _reals, _typed
 from .engine import CoefficientSystem, InitialMomentVector
 from .errors import (
     InsufficientMoments,
@@ -488,8 +488,8 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
     _check_order(n)
     spec = spec.generator()
     a = spec.coeffs
-    # coefficients past the double range stay infinite (or NaN, inf - inf)
-    # for the solves to report, as the initial powers do
+    # coefficients past the double range stay infinite (in T also NaN, inf -
+    # inf) for the solves to report, as the initial powers do
     with np.errstate(over="ignore", invalid="ignore"):
         coef = np.zeros((n, n + 1))
         # Entry C(k, j) E[J^(k-j)] of row k multiplies x^j (rates a0, a2) or
@@ -530,6 +530,8 @@ def build(spec: ProcessSpec, n: int) -> tuple[CoefficientSystem, InitialMomentVe
         if a[9] != 0.0:
             x_k += a[9] * (spec.collapse.moments(n) - 1.0)
 
+    if np.isnan(coef[:, 0]).any():  # build's own inf - inf is Overflow, not theta0's InvalidInput
+        raise _overflow("moment system shift", int(np.isnan(coef[:, 0]).argmax()) + 1)
     system = CoefficientSystem(MatryoshkanMatrix._own(coef[:, 1:]), coef[:, 0])
     return system, InitialMomentVector.from_state(spec.x0, n)
 

@@ -114,8 +114,9 @@ _TABLE = [
     ("diag", lambda v: mk.extend(None, [], v),
      [("3", InvalidInput), (None, InvalidInput), (math.nan, InvalidInput), ([1.0, 2.0], InvalidDimension)]
      + _bad_shape(0)),
-    ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3) + _bad_shape(1, 3)),
-    ("theta0", lambda v: mk.CoefficientSystem(_M, v), _bad_array(3) + _bad_shape(1, 3)),
+    ("rhs", lambda v: mk.solve_lower(_M, v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1, 3)),
+    ("theta0", lambda v: mk.CoefficientSystem(_M, v),
+     _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1, 3)),
     ("powers", lambda v: mk.InitialMomentVector(v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1)),
     ("values", lambda v: mk.MomentVector(v), _bad_array(3) + [([math.nan, 1.0, 1.0], InvalidInput)] + _bad_shape(1)),
     ("terminals", lambda v: mk.estimate_moments(v, 2),

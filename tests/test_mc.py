@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +271,27 @@ def test_euler_maruyama_path_past_the_double_range_raises_overflow():
 def test_square_root_law_with_vanishing_sigma_raises_overflow():
     # sigma**2 underflows to 0, and the law divides by it
     spec = mk.ItoSpec(mu=1.0, theta=-1.0, sigma=1e-200, gamma=1.0, x0=1.0)
+    with pytest.raises(Overflow, match=r"^transition law at t = 1\.0 leaves the double range$"):
+        mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
+
+
+def test_square_root_law_reads_the_correctly_rounded_square():
+    # Python's sigma**2 (libm pow) rounds this square an ulp away from the
+    # exact one, which build's half-square reads
+    mu, theta, sigma, x0, t = 1.0, -1.0, 9.296593, 1.0, 1.0
+    square = float(Fraction(sigma) ** 2)
+    scale = square * (math.expm1(theta * t) / theta) / 4.0
+    df, nonc = 4.0 * mu / square, x0 * math.exp(theta * t) / scale
+    want = scale * mc._stream(0, 0).noncentral_chisquare(df, nonc, 5)
+    got = mk.simulate(mk.ItoSpec(mu, theta, sigma, 1.0, x0), mk.SimConfig(paths=5, horizon=t, seed=0))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mu, sigma", [(1.0, 1e200), (1e-300, 1e150)])
+def test_square_root_law_with_sigma_squared_past_the_range_raises_overflow(mu, sigma):
+    # sigma * sigma is inf, or 4 mu / sigma^2 underflows: either makes df 0,
+    # which numpy would refuse with a raw ValueError
+    spec = mk.ItoSpec(mu=mu, theta=-1.0, sigma=sigma, gamma=1.0, x0=1.0)
     with pytest.raises(Overflow, match=r"^transition law at t = 1\.0 leaves the double range$"):
         mk.simulate(spec, mk.SimConfig(paths=5, horizon=1.0, seed=0))
 

@@ -127,6 +127,19 @@ def test_coefficients_past_the_double_range_build_without_warnings(fresh_pascal_
     assert np.diagonal(system.theta.dense(), -1).tolist() == [math.inf, math.inf]
     with pytest.raises(Overflow, match="^generator times t leaves the double range$"):
         mk.transient_vector(system, init, 1.0)
+    # NaN rows of T (from order 1028 on) go to the solves, which name an
+    # earlier order
+    system, init = mk.build(mk.EphemeralSpec(1.0, 2.0, 3.0), 1100)
+    assert np.isnan(system.theta.dense()[1027]).any()
+    with pytest.raises(Overflow, match="^stationary moment of order 145 leaves the double range$"):
+        mk.steady_vector(system)
+    with pytest.raises(Overflow, match="^generator times t leaves the double range$"):
+        mk.transient_vector(system, init, 1.0)
+    # inf - inf in the shift is build's own NaN, reported before any record
+    up_down = mk.GenericGeneratorSpec(coeffs=(1e308, 0.0, 1e308, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0),
+                                      up=mk.DeterministicJumps(2.0), down=mk.DeterministicJumps(2.0))
+    with pytest.raises(Overflow, match="^moment system shift of order 1 leaves the double range$"):
+        mk.build(up_down, 3)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0, 0.3])
